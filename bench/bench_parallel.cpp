@@ -3,7 +3,13 @@
 // (8 regions) is fixed, so every thread count executes bit-identical
 // event sequences -- the bench verifies that via the order digest while
 // measuring wall-clock throughput.
+//
+// The BM_EventCore_* cases time the engine underneath: one standalone
+// EventScheduler scheduling, firing and cancelling events, reported as
+// ns per event (escape_bench_event_core_ns_per_event in BENCH_parallel.json).
 #include "bench_common.hpp"
+
+#include <chrono>
 
 #include "netemu/network.hpp"
 #include "util/sharded_event.hpp"
@@ -102,6 +108,93 @@ void BM_ParallelTraffic(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelTraffic)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
+
+/// Records ns per event for one event-core case, in the benchmark output
+/// and in the registry.
+void report_event_core(benchmark::State& state, const char* name, std::uint64_t events,
+                       double seconds) {
+  const double ns = events ? seconds * 1e9 / static_cast<double>(events) : 0.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["ns_per_event"] = ns;
+  obs::MetricsRegistry::global()
+      .gauge("escape_bench_event_core_ns_per_event",
+             {{"case", name}, {"pending", std::to_string(state.range(0))}})
+      .set(ns);
+}
+
+/// Deterministic delay stream (LCG) so heap shapes repeat run to run.
+struct Delays {
+  std::uint64_t x = 0x2545f4914f6cdd1dull;
+  SimDuration next() {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return 1 + (x >> 54);  // 1..1024 ns
+  }
+};
+
+/// Steady state with `pending` events queued: every fired event
+/// schedules its replacement, so the heap never shrinks.
+void BM_EventCore_ScheduleFire(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::uint64_t events = 0;
+  double seconds = 0;
+  for (auto _ : state) {
+    EventScheduler sched;
+    Delays delays;
+    std::uint64_t budget = 1 << 16;
+    struct Fire {
+      EventScheduler* sched;
+      Delays* delays;
+      std::uint64_t* budget;
+      void operator()() const {
+        if (*budget > 0) {
+          --*budget;
+          sched->schedule(delays->next(), *this);
+        }
+      }
+    };
+    for (std::size_t i = 0; i < pending; ++i) {
+      sched.schedule(delays.next(), Fire{&sched, &delays, &budget});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    events += sched.run();
+    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  report_event_core(state, "schedule_fire", events, seconds);
+}
+BENCHMARK(BM_EventCore_ScheduleFire)->Arg(16)->Arg(64)->Arg(1024);
+
+/// Timer refresh, the flow-idle-timeout pattern: `pending` timers, and
+/// every fired event cancels and re-arms four of them, so most queued
+/// entries die cancelled and are reaped lazily.
+void BM_EventCore_TimerRefresh(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::uint64_t events = 0;
+  double seconds = 0;
+  for (auto _ : state) {
+    EventScheduler sched;
+    Delays delays;
+    std::vector<EventHandle> timers(pending);
+    std::uint64_t budget = 1 << 14;
+    std::uint64_t cursor = 0;
+    std::function<void()> tick = [&] {
+      if (budget == 0) return;
+      --budget;
+      for (int k = 0; k < 4; ++k) {
+        EventHandle& t = timers[cursor++ % pending];
+        t.cancel();
+        t = sched.schedule(1000 + delays.next(), [] {});
+      }
+      sched.schedule(delays.next(), [&] { tick(); });
+    };
+    for (auto& t : timers) t = sched.schedule(1000 + delays.next(), [] {});
+    sched.schedule(0, [&] { tick(); });
+    const auto t0 = std::chrono::steady_clock::now();
+    events += sched.run();
+    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  report_event_core(state, "timer_refresh", events, seconds);
+}
+BENCHMARK(BM_EventCore_TimerRefresh)->Arg(64);
 
 }  // namespace
 }  // namespace escape

@@ -337,7 +337,7 @@ std::optional<Packet> SimpleElement::pull(int) {
 }
 
 void SimpleElement::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     Verdict v = process(out[i]);
     if (v.keep) out.keep(i, v.out_port);

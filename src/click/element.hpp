@@ -245,17 +245,18 @@ class Element {
 /// Order-preserving batch splitter for classify-style elements. Scalar
 /// classifiers emit each packet downstream as soon as it is classified;
 /// a batch override must not reorder that sequence even when the batch
-/// fans out over several output ports. RunEmitter owns the incoming
-/// batch, regroups it into maximal runs of consecutive packets bound
-/// for the same port, and emits the runs in arrival order, so the
+/// fans out over several output ports. RunEmitter works on the incoming
+/// batch in place, regroups it into maximal runs of consecutive packets
+/// bound for the same port, and emits the runs in arrival order, so the
 /// global emission order matches the scalar path exactly while
 /// same-port bursts still move as batches. When every packet survives
 /// to a single port -- the pass-through hot case -- the original batch
-/// is forwarded whole, with no per-packet repacking.
+/// is forwarded whole, with no per-packet repacking. Dropped packets
+/// stay in the caller's batch, whose storage the caller keeps: an
+/// emulated link reuses it for its next delivery.
 class RunEmitter {
  public:
-  RunEmitter(Element& element, PacketBatch&& batch)
-      : element_(element), batch_(std::move(batch)) {}
+  RunEmitter(Element& element, PacketBatch& batch) : element_(element), batch_(batch) {}
   ~RunEmitter() { flush(); }
 
   std::size_t size() const { return batch_.size(); }
@@ -263,14 +264,14 @@ class RunEmitter {
 
   /// Marks packet `i` as surviving on `port`. Call with strictly
   /// increasing indices; skipped indices are drops (they end the
-  /// current run and die with the emitter).
+  /// current run and are left in the batch).
   void keep(std::size_t i, int port);
 
  private:
   void flush();
 
   Element& element_;
-  PacketBatch batch_;
+  PacketBatch& batch_;
   std::size_t start_ = 0;  // current run: batch_[start_, end_) -> run_port_
   std::size_t end_ = 0;
   int run_port_ = -1;

@@ -351,7 +351,7 @@ void PaintSwitch::push(int, Packet&& p) {
 }
 
 void PaintSwitch::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     int port = out[i].paint();
     if (port >= n_outputs()) port = n_outputs() - 1;
@@ -377,7 +377,7 @@ void CheckPaint::push(int, Packet&& p) {
 }
 
 void CheckPaint::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out.keep(i, out[i].paint() == color_ ? 0 : 1);
   }
@@ -449,7 +449,7 @@ void Classifier::push(int, Packet&& p) {
 }
 
 void Classifier::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const int port = classify(out[i]);
     if (port >= 0) out.keep(i, port);
@@ -531,7 +531,7 @@ void IPClassifier::push(int, Packet&& p) {
 }
 
 void IPClassifier::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   // Flow-run verdict cache (see IPFilter::push_batch).
   const Packet* prev = nullptr;
   int prev_port = -1;
@@ -594,7 +594,7 @@ void IPFilter::push(int, Packet&& p) {
 }
 
 void IPFilter::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   // Flow-run verdict cache: byte-identical headers classify identically,
   // so a run of one flow evaluates the expression once.
   const Packet* prev = nullptr;

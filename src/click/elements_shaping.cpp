@@ -78,9 +78,8 @@ Status Delay::configure(const ConfigArgs& args) {
 Status Delay::initialize(Router&) { return ok_status(); }
 
 void Delay::push(int, Packet&& p) {
-  auto shared = std::make_shared<Packet>(std::move(p));
-  router()->scheduler().schedule(delay_, [this, shared]() mutable {
-    output_push(0, std::move(*shared));
+  router()->scheduler().schedule(delay_, [this, p = std::move(p)]() mutable {
+    output_push(0, std::move(p));
   });
 }
 
@@ -145,7 +144,7 @@ void Meter::push(int, Packet&& p) {
 
 void Meter::push_batch(int, PacketBatch&& batch) {
   const SimTime now = router()->scheduler().now();
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (bucket_->try_consume(now, 1)) {
       ++conforming_;

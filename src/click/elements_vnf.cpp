@@ -117,7 +117,7 @@ void Firewall::push(int, Packet&& p) {
 }
 
 void Firewall::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
+  RunEmitter out(*this, batch);
   // Flow-run verdict cache: byte-identical headers hit the same rule,
   // so a run of one flow walks the rule list once.
   const Packet* prev = nullptr;

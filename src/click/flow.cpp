@@ -816,7 +816,7 @@ void FlowNAT::push(int port, Packet&& p) {
 void FlowNAT::push_batch(int port, PacketBatch&& batch) {
   // The scalar path already handles per-packet state; RunEmitter keeps
   // same-verdict runs batched while preserving the drop semantics.
-  RunEmitter emitter(*this, std::move(batch));
+  RunEmitter emitter(*this, batch);
   for (std::size_t i = 0; i < emitter.size(); ++i) {
     Packet& p = emitter[i];
     if (port == 0) {
@@ -967,7 +967,7 @@ void FlowLB::push(int, Packet&& p) {
 }
 
 void FlowLB::push_batch(int, PacketBatch&& batch) {
-  RunEmitter emitter(*this, std::move(batch));
+  RunEmitter emitter(*this, batch);
   for (std::size_t i = 0; i < emitter.size(); ++i) {
     int out = backend_for(emitter[i]);
     ++out_packets_[static_cast<std::size_t>(out)];

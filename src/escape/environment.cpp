@@ -129,7 +129,7 @@ Status Environment::start() {
   return ok_status();
 }
 
-void Environment::on_shard_of(netemu::Node* node, std::function<void()> fn) {
+void Environment::on_shard_of(netemu::Node* node, EventScheduler::Callback fn) {
   EventScheduler& target = node->scheduler();
   EventScheduler* cur = ShardedScheduler::current_shard();
   if (cur == nullptr || target.owner() == nullptr || cur == &target) {

@@ -347,7 +347,7 @@ class Environment {
   /// on that shard), else deferred through the owner's mailbox -- the
   /// fault lands one lookahead later, like a command crossing the
   /// management network.
-  void on_shard_of(netemu::Node* node, std::function<void()> fn);
+  void on_shard_of(netemu::Node* node, EventScheduler::Callback fn);
 
   /// Gives a chain's substrate reservations back to the view (no-op if
   /// it holds none).

@@ -91,36 +91,25 @@ void Host::send(net::Packet&& packet) {
 void Host::start_udp_flow(net::MacAddr dst_mac, net::Ipv4Addr dst_ip, std::uint16_t sport,
                           std::uint16_t dport, std::uint64_t count, std::uint64_t rate_pps,
                           std::size_t frame_size) {
-  FlowState flow;
-  flow.dst_mac = dst_mac;
-  flow.dst_ip = dst_ip;
-  flow.sport = sport;
-  flow.dport = dport;
-  flow.remaining = count;
-  flow.gap = rate_pps ? timeunit::kSecond / rate_pps : 0;
-  flow.frame_size = frame_size;
-  flow_ = flow;
-  send_next_flow_packet();
+  if (count == 0) return;
+  auto flow = std::make_unique<UdpFlow>();
+  flow->remaining = count;
+  flow->gap = rate_pps ? timeunit::kSecond / rate_pps : 0;
+  flow->proto = net::make_udp_packet(mac_, dst_mac, ip_, dst_ip, sport, dport, frame_size);
+  send_flow_packet(std::move(flow));
 }
 
-void Host::send_next_flow_packet() {
-  if (!flow_ || flow_->remaining == 0) {
-    flow_.reset();
-    return;
-  }
-  if (!flow_->proto) {
-    flow_->proto = net::make_udp_packet(mac_, flow_->dst_mac, ip_, flow_->dst_ip, flow_->sport,
-                                        flow_->dport, flow_->frame_size);
-  }
-  net::Packet p = net::default_packet_pool().acquire_copy(*flow_->proto);
-  p.set_seq(flow_->seq++);
+void Host::send_flow_packet(std::unique_ptr<UdpFlow> flow) {
+  net::Packet p = net::default_packet_pool().acquire_copy(flow->proto);
+  p.set_seq(flow->seq++);
   p.set_timestamp(scheduler().now());
-  --flow_->remaining;
+  --flow->remaining;
   send(std::move(p));
-  if (flow_->remaining > 0) {
-    scheduler().schedule(flow_->gap, [this] { send_next_flow_packet(); });
-  } else {
-    flow_.reset();
+  if (flow->remaining > 0) {
+    const SimDuration gap = flow->gap;
+    scheduler().schedule(gap, [this, flow = std::move(flow)]() mutable {
+      send_flow_packet(std::move(flow));
+    });
   }
 }
 

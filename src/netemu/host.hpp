@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "net/builder.hpp"
@@ -27,6 +28,7 @@ class Host : public Node {
 
   /// Starts a UDP flow toward `dst`: `count` frames of `frame_size`
   /// bytes at `rate_pps`. Frames carry sequence numbers and timestamps.
+  /// Each call starts an independent flow; earlier flows keep running.
   void start_udp_flow(net::MacAddr dst_mac, net::Ipv4Addr dst_ip, std::uint16_t sport,
                       std::uint16_t dport, std::uint64_t count, std::uint64_t rate_pps,
                       std::size_t frame_size = 98);
@@ -63,24 +65,19 @@ class Host : public Node {
   void reset_counters();
 
  private:
-  void send_next_flow_packet();
-
-  net::MacAddr mac_;
-  net::Ipv4Addr ip_;
-
-  // Active generator state (one flow at a time; enough for the demo).
-  struct FlowState {
-    net::MacAddr dst_mac;
-    net::Ipv4Addr dst_ip;
-    std::uint16_t sport = 0, dport = 0;
+  // One UDP flow's generator state, owned by the flow's timer chain:
+  // every send event moves it into the next.
+  struct UdpFlow {
     std::uint64_t remaining = 0;
     std::uint64_t seq = 0;
     SimDuration gap = 0;
-    std::size_t frame_size = 98;
     // Prototype frame: headers encoded once, copied into pooled buffers.
-    std::optional<net::Packet> proto;
+    net::Packet proto;
   };
-  std::optional<FlowState> flow_;
+  void send_flow_packet(std::unique_ptr<UdpFlow> flow);
+
+  net::MacAddr mac_;
+  net::Ipv4Addr ip_;
 
   std::uint64_t rx_packets_ = 0;
   std::uint64_t rx_bytes_ = 0;

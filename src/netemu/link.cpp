@@ -32,6 +32,26 @@ Link::Link(Node* node_a, std::uint16_t port_a, Node* node_b, std::uint16_t port_
   }
 }
 
+void Link::FrameRing::push_back(PendingFrame&& frame) {
+  if (size_ == slots_.size()) {
+    std::vector<PendingFrame> grown(slots_.empty() ? 8 : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(frame);
+  ++size_;
+}
+
+void Link::FrameRing::clear() {
+  for (; size_ > 0; --size_) {
+    front().packet = net::Packet();
+    head_ = (head_ + 1) & (slots_.size() - 1);
+  }
+}
+
 Link::~Link() {
   dir_[0].event.cancel();
   dir_[1].event.cancel();
@@ -165,7 +185,11 @@ void Link::fire(int from_endpoint) {
   Direction& dir = dir_[from_endpoint];
   const SimTime now = dir.sched->now();
 
-  net::PacketBatch due;
+  // Reuse the storage of the previous due batch. Moving it out (instead
+  // of filling dir.spare in place) keeps a re-entrant fire() of this
+  // direction correct: it would just find no spare storage.
+  net::PacketBatch due = std::move(dir.spare);
+  due.clear();
   std::uint64_t due_bytes = 0;
   while (!dir.pending.empty() &&
          (dir.cross ? dir.pending.front().tx_done : dir.pending.front().deliver_at) <= now) {
@@ -187,14 +211,17 @@ void Link::fire(int from_endpoint) {
   Node* dst = from_endpoint == 0 ? node_b_ : node_a_;
   const std::uint16_t dst_port = from_endpoint == 0 ? port_b_ : port_a_;
   if (!dir.cross) {
+    // Receivers consume the frames in place; one that takes the batch's
+    // storage leaves `due` empty and the next hop allocates afresh.
     dst->deliver_batch(dst_port, std::move(due));
+    due.clear();
+    dir.spare = std::move(due);
     return;
   }
-  // shared_ptr only because EventScheduler::Callback requires a
-  // copy-constructible target; the batch has exactly one consumer.
-  auto batch = std::make_shared<net::PacketBatch>(std::move(due));
   cross_schedule(*dir.sched, dst->scheduler(), config_.delay,
-                 [dst, dst_port, batch] { dst->deliver_batch(dst_port, std::move(*batch)); });
+                 [dst, dst_port, batch = std::move(due)]() mutable {
+                   dst->deliver_batch(dst_port, std::move(batch));
+                 });
 }
 
 std::string Link::to_string() const {

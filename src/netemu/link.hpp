@@ -8,18 +8,22 @@
 // frame is delivered `delay` after its serialization completes.
 //
 // Scheduling: instead of one scheduler event per frame, each direction
-// keeps a deque of pending frames and a single armed event for the
+// keeps a FIFO of pending frames and a single armed event for the
 // earliest delivery. When it fires, every frame whose delivery time has
 // been reached leaves as one batch (Node::deliver_batch) and the event
 // re-arms for the next frame. Per-frame delivery times are exactly
 // those of the per-event model, so timing-sensitive tests see no
 // difference; a burst of N queued frames holds one pending event
 // instead of N.
+//
+// A steady-state hop allocates nothing: the pending frames sit in a ring
+// that only grows, the due batch reuses per-direction storage, and the
+// delivery event's callback fits the scheduler's inline buffer.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "net/packet_batch.hpp"
 #include "netemu/node.hpp"
@@ -91,6 +95,26 @@ class Link {
     SimTime deliver_at = 0;  // tx_done + propagation delay
     net::Packet packet;
   };
+  /// FIFO of in-flight frames over a power-of-two ring that only grows
+  /// (std::deque would free and reallocate blocks as the queue slides).
+  class FrameRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    PendingFrame& front() { return slots_[head_]; }
+    void push_back(PendingFrame&& frame);
+    /// Drops the front slot; its packet must already be moved out.
+    void pop_front() {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+    }
+    void clear();
+
+   private:
+    std::vector<PendingFrame> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
   struct Direction {
     // Sender-shard-confined state: only the shard executing the sender
     // node ever touches this struct (admin ops from other shards arrive
@@ -100,8 +124,9 @@ class Link {
     bool up = true;                   // applied admin state
     Rng rng{1};                       // per-direction loss stream (cross only)
     SimTime busy_until = 0;
-    std::deque<PendingFrame> pending;  // FIFO; tx_done/deliver_at monotonic
-    EventHandle event;                 // armed for pending.front()
+    FrameRing pending;       // FIFO; tx_done/deliver_at monotonic
+    EventHandle event;       // armed for pending.front()
+    net::PacketBatch spare;  // storage of the last due batch, reused by fire()
     std::uint64_t delivered = 0;
     std::uint64_t dropped = 0;
     // Registry mirrors of the per-instance counters above: the

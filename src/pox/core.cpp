@@ -187,7 +187,7 @@ std::optional<SimDuration> Controller::channel_hop_delay(SwitchConnection& conn)
   return channel_delay_ + conn.extra_delay_;
 }
 
-void Controller::on_switch_shard(SwitchConnection& conn, std::function<void()> fn) {
+void Controller::on_switch_shard(SwitchConnection& conn, EventScheduler::Callback fn) {
   EventScheduler* ss = conn.sw_ ? &conn.sw_->scheduler() : scheduler_;
   EventScheduler* cur = ShardedScheduler::current_shard();
   if (cur == nullptr || ss->owner() == nullptr || cur == ss) {

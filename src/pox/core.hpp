@@ -188,7 +188,7 @@ class Controller {
   /// Runs `fn` against switch-shard state: synchronously when the
   /// caller may touch that shard, else through the owner's mailbox (the
   /// command lands one lookahead later, like a management-network hop).
-  void on_switch_shard(SwitchConnection& conn, std::function<void()> fn);
+  void on_switch_shard(SwitchConnection& conn, EventScheduler::Callback fn);
 
   /// Round-trips a message through the OF 1.0 codec when serialization
   /// is on; returns it untouched otherwise. Codec failures are logged

@@ -55,6 +55,12 @@ ShardedScheduler::~ShardedScheduler() {
     cv_.notify_all();
     for (auto& w : workers_) w.join();
   }
+  // Undelivered mail: invalidate its handles and free its callbacks.
+  for (auto& row : outbox_) {
+    for (std::size_t dst = 0; dst < row.size(); ++dst) {
+      for (const Mail& m : row[dst]) shards_[dst]->recycle(m.rec);
+    }
+  }
 }
 
 void ShardedScheduler::resize(std::size_t shards, std::size_t threads) {
@@ -105,13 +111,13 @@ SimTime ShardedScheduler::now() const {
   return t;
 }
 
-EventHandle ShardedScheduler::schedule(SimDuration delay, Callback cb) {
+EventHandle ShardedScheduler::schedule(SimDuration delay, Callback&& cb) {
   EventScheduler* cur = t_current_shard;
   if (cur != nullptr && cur->owner() == this) return cur->schedule(delay, std::move(cb));
   return shards_[0]->schedule_at(shards_[0]->now() + delay, std::move(cb));
 }
 
-EventHandle ShardedScheduler::schedule_at(SimTime when, Callback cb) {
+EventHandle ShardedScheduler::schedule_at(SimTime when, Callback&& cb) {
   EventScheduler* cur = t_current_shard;
   if (cur != nullptr && cur->owner() == this) return cur->schedule_at(when, std::move(cb));
   return shards_[0]->schedule_at(when, std::move(cb));
@@ -315,17 +321,20 @@ void ShardedScheduler::drain_mailboxes() {
                 if (a.src != b.src) return a.src < b.src;
                 return a.seq < b.seq;
               });
-    for (auto& m : drain_scratch_) {
+    for (const Mail& m : drain_scratch_) {
       // Cancelled while still in the outbox: the canceller already
-      // adjusted the live counter, so just drop the entry.
-      if (m.state->done.load(std::memory_order_acquire)) continue;
-      shards_[dst]->inject(m.when, std::move(m.cb), std::move(m.state));
+      // adjusted the live counter, so just recycle the record.
+      if ((m.rec->state.load(std::memory_order_acquire) & detail::EventRecord::kPending) == 0) {
+        shards_[dst]->recycle(m.rec);
+        continue;
+      }
+      shards_[dst]->inject(m.when, m.rec);
     }
     drain_scratch_.clear();
   }
 }
 
-EventHandle ShardedScheduler::inject_now(std::size_t dst, SimTime when, Callback cb) {
+EventHandle ShardedScheduler::inject_now(std::size_t dst, SimTime when, Callback&& cb) {
   EventScheduler& sh = *shards_[dst];
   if (when < sh.now_) {
     // Only main-thread inserts land here, and between runs the shard
@@ -336,14 +345,13 @@ EventHandle ShardedScheduler::inject_now(std::size_t dst, SimTime when, Callback
     // the lookahead-violation check in post_at still bites.
     when = sh.now_;
   }
-  auto state = std::make_shared<detail::EventState>();
-  state->live = sh.live_;
-  sh.live_->fetch_add(1, std::memory_order_acq_rel);
-  sh.inject(when, std::move(cb), std::move(state));
-  return EventHandle{std::move(state)};
+  sh.free_record()->cb = std::move(cb);
+  EventHandle handle = sh.arm(sh);
+  sh.inject(when, handle.rec_);
+  return handle;
 }
 
-EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb) {
+EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback&& cb) {
   if (dst >= shards_.size()) {
     throw std::out_of_range("ShardedScheduler::post_at: bad shard index");
   }
@@ -359,15 +367,17 @@ EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb
         "ShardedScheduler::post_at: cross-shard event inside the current window -- "
         "the sending edge did not register its minimum delay (add_lookahead_edge)");
   }
-  auto state = std::make_shared<detail::EventState>();
-  state->live = shards_[dst]->live_;
-  state->live->fetch_add(1, std::memory_order_acq_rel);
-  outbox_[src][dst].push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++,
-                                   std::move(cb), state});
-  return EventHandle{std::move(state)};
+  // The record comes from the sending shard's free list (the only one
+  // this thread may touch mid-window) and is recycled by dst after it
+  // fires; EventScheduler::recycle caps how many a free list keeps.
+  cur->free_record()->cb = std::move(cb);
+  EventHandle handle = cur->arm(*shards_[dst]);
+  outbox_[src][dst].push_back(
+      Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++, handle.rec_});
+  return handle;
 }
 
-EventHandle ShardedScheduler::post_admin(std::size_t dst, Callback cb) {
+EventHandle ShardedScheduler::post_admin(std::size_t dst, Callback&& cb) {
   EventScheduler* cur = t_current_shard;
   if (cur == nullptr || cur->owner() != this) {
     return inject_now(dst, shards_[dst]->now(), std::move(cb));
@@ -383,7 +393,7 @@ EventHandle ShardedScheduler::post_admin(std::size_t dst, Callback cb) {
 }
 
 EventHandle cross_schedule(EventScheduler& src, EventScheduler& dst, SimDuration delay,
-                           EventScheduler::Callback cb) {
+                           EventScheduler::Callback&& cb) {
   SimTime when = src.now() + delay;
   ShardedScheduler* owner = dst.owner();
   if (owner != nullptr && owner == src.owner() && &src != &dst) {

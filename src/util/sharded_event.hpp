@@ -102,8 +102,8 @@ class ShardedScheduler {
 
   /// Schedules onto the current shard when called from inside an
   /// executing event, else onto shard 0 (the control shard).
-  EventHandle schedule(SimDuration delay, Callback cb);
-  EventHandle schedule_at(SimTime when, Callback cb);
+  EventHandle schedule(SimDuration delay, Callback&& cb);
+  EventHandle schedule_at(SimTime when, Callback&& cb);
 
   /// Runs events until every queue and mailbox is empty. `max_events`
   /// bounds the events executed *per shard* (runaway-event guard).
@@ -136,29 +136,31 @@ class ShardedScheduler {
   /// `when` must respect the lookahead (when >= current window bound);
   /// violating it throws, because it means a cross-shard edge failed to
   /// register its latency. Outside a run it inserts directly.
-  EventHandle post_at(std::size_t dst, SimTime when, Callback cb);
+  EventHandle post_at(std::size_t dst, SimTime when, Callback&& cb);
 
   /// Schedules `cb` on shard `dst` at the earliest provably-safe time:
   /// the current window bound when running, the caller's now otherwise.
   /// This is how administrative operations (link up/down, channel
   /// faults) reach state owned by another shard -- the command takes
   /// one lookahead to propagate, like a management-network hop.
-  EventHandle post_admin(std::size_t dst, Callback cb);
+  EventHandle post_admin(std::size_t dst, Callback&& cb);
 
   /// The shard queue executing on this thread (nullptr when no sharded
   /// run is in progress on it).
   static EventScheduler* current_shard();
 
  private:
+  // The record is armed by the sending shard (its callback and pending
+  // bit are set, and it counts in the destination's pending events), so
+  // the returned handle works before the record reaches dst's queue.
   struct Mail {
     SimTime when = 0;
     std::uint32_t src = 0;
     std::uint64_t seq = 0;  // per-source post counter
-    Callback cb;
-    std::shared_ptr<detail::EventState> state;
+    detail::EventRecord* rec = nullptr;
   };
 
-  EventHandle inject_now(std::size_t dst, SimTime when, Callback cb);
+  EventHandle inject_now(std::size_t dst, SimTime when, Callback&& cb);
   void drain_mailboxes();
   /// One synchronization window: every shard runs events < bound.
   void execute_round(SimTime bound);
@@ -212,6 +214,6 @@ class ShardedScheduler {
 /// Every caller crossing shards must have registered the edge's minimum
 /// delay with add_lookahead_edge().
 EventHandle cross_schedule(EventScheduler& src, EventScheduler& dst, SimDuration delay,
-                           EventScheduler::Callback cb);
+                           EventScheduler::Callback&& cb);
 
 }  // namespace escape

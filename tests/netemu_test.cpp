@@ -8,6 +8,7 @@
 #include "netemu/pcap.hpp"
 
 #include <cstring>
+#include <map>
 
 namespace escape::netemu {
 namespace {
@@ -146,6 +147,38 @@ TEST(Host, UdpFlowPacingAndSequencing) {
   EXPECT_EQ(a.tx_packets(), 100u);
   b.reset_counters();
   EXPECT_EQ(b.rx_packets(), 0u);
+}
+
+TEST(Host, ConcurrentUdpFlowsFromOneHostKeepTheirOwnState) {
+  // Each start_udp_flow call owns its flow: starting a second flow while
+  // the first is still sending must not redirect or truncate the first.
+  EventScheduler sched;
+  Network net(sched);
+  auto& a = net.add_host("a", MacAddr::from_u64(1), Ipv4Addr(10, 0, 0, 1));
+  auto& b = net.add_host("b", MacAddr::from_u64(2), Ipv4Addr(10, 0, 0, 2));
+  LinkConfig cfg;
+  cfg.queue_frames = 1000;
+  ASSERT_TRUE(net.add_link("a", 0, "b", 0, cfg).ok());
+  std::map<std::pair<std::uint16_t, std::uint16_t>, std::uint64_t> per_flow;
+  b.on_receive([&](const net::Packet& p) {
+    auto key = net::extract_flow_key(p, 0);
+    ASSERT_TRUE(key.has_value());
+    ++per_flow[{key->tp_src, key->tp_dst}];
+  });
+  for (std::uint16_t f = 0; f < 8; ++f) {
+    a.start_udp_flow(b.mac(), b.ip(), static_cast<std::uint16_t>(5000 + f),
+                     static_cast<std::uint16_t>(6000 + f), /*count=*/50, /*rate_pps=*/1000);
+    sched.run_for(microseconds(300));  // flows overlap: each runs 49 ms
+  }
+  sched.run();
+  EXPECT_EQ(b.rx_packets(), 400u);
+  EXPECT_EQ(a.tx_packets(), 400u);
+  ASSERT_EQ(per_flow.size(), 8u);
+  for (std::uint16_t f = 0; f < 8; ++f) {
+    const auto ports = std::make_pair(static_cast<std::uint16_t>(5000 + f),
+                                      static_cast<std::uint16_t>(6000 + f));
+    EXPECT_EQ(per_flow[ports], 50u) << "flow " << f;
+  }
 }
 
 TEST(Network, NodeManagement) {

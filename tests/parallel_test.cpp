@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -189,6 +190,55 @@ TEST(ShardedScheduler, CrossShardCancelPreventsExecution) {
   sched.shard(0).schedule_at(1 * kHop, [&] { victim.cancel(); });
   sched.run();
   EXPECT_FALSE(fired);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(ShardedScheduler, MailboxHandleCancelsBeforeInjection) {
+  // A handle returned by an in-run cross-shard post is live while the
+  // event still sits in the sender's outbox: cancelling it there drops
+  // the event at the barrier and keeps the pending count exact.
+  ShardedScheduler sched{2, 2};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.add_lookahead_edge(1, 0, kHop);
+  bool fired = false, kept = false;
+  bool pending_in_outbox = false;
+  std::size_t pending_after_cancel = 0;
+  sched.shard(0).schedule_at(kHop, [&] {
+    EventHandle h = sched.post_at(1, 3 * kHop, [&] { fired = true; });
+    sched.post_at(1, 3 * kHop, [&] { kept = true; });
+    pending_in_outbox = h.pending();
+    h.cancel();
+    h.cancel();
+    pending_after_cancel = sched.shard(1).pending_events();
+  });
+  sched.run();
+  EXPECT_TRUE(pending_in_outbox);
+  EXPECT_EQ(pending_after_cancel, 1u);
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(kept);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(ShardedScheduler, OneWayMailTrafficRecyclesRecords) {
+  // Mail records are armed from the sender's free list and recycled into
+  // the receiver's, so one-way traffic drains one list and fills the
+  // other; the receiver must hand surplus records back to the shared
+  // slab for the sender to reuse.
+  ShardedScheduler sched{2, 2};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.add_lookahead_edge(1, 0, kHop);
+  constexpr int kPosts = 20000;
+  int posted = 0;
+  std::uint64_t received = 0;
+  std::function<void()> pump = [&] {
+    for (int i = 0; i < 4 && posted < kPosts; ++i, ++posted) {
+      cross_schedule(sched.shard(0), sched.shard(1), kHop, [&received] { ++received; });
+    }
+    if (posted < kPosts) sched.shard(0).schedule(kHop / 8, [&] { pump(); });
+  };
+  sched.shard(0).schedule_at(0, [&] { pump(); });
+  sched.run();
+  EXPECT_EQ(received, static_cast<std::uint64_t>(kPosts));
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 

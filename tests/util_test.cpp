@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "net/packet.hpp"
 #include "util/event.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -212,6 +214,194 @@ TEST(EventScheduler, MaxEventsGuard) {
   std::size_t ran = sched.run(1000);
   EXPECT_EQ(ran, 1000u);
   EXPECT_EQ(sched.executed_events(), 1000u);
+}
+
+// --- EventHandle contract -----------------------------------------------------
+
+TEST(EventHandle, StaleHandleCannotReachTheSlotsNextEvent) {
+  EventScheduler sched;
+  int first = 0, second = 0;
+  EventHandle fired = sched.schedule(10, [&] { ++first; });
+  sched.run();
+  // Records are recycled last-in first-out, so this event reuses the
+  // slot of the one that just fired.
+  EventHandle next = sched.schedule(10, [&] { ++second; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_TRUE(next.pending());
+  fired.cancel();
+  EXPECT_TRUE(next.pending());
+  EXPECT_EQ(sched.pending_events(), 1u);
+
+  // Same after a cancel: once the cancelled entry is reaped and its slot
+  // reused, the old handle stays inert.
+  EventHandle cancelled = sched.schedule(5, [&] { ++first; });
+  cancelled.cancel();
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.run();
+  EventHandle reused = sched.schedule(10, [&] { ++second; });
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(reused.pending());
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+}
+
+TEST(EventHandle, SafeNoOpAfterSchedulerDestroyed) {
+  auto tracker = std::make_shared<int>(0);
+  EventHandle pending, fired;
+  {
+    EventScheduler sched;
+    fired = sched.schedule(1, [] {});
+    sched.run();
+    pending = sched.schedule(10, [tracker] { ++*tracker; });
+    EXPECT_EQ(tracker.use_count(), 2);
+  }
+  // The destroyed scheduler released the queued callback...
+  EXPECT_EQ(tracker.use_count(), 1);
+  // ...and its handles are inert, even once a new scheduler reuses the
+  // freed slots.
+  EXPECT_FALSE(pending.pending());
+  pending.cancel();
+  fired.cancel();
+  EventScheduler next;
+  bool ran = false;
+  EventHandle fresh = next.schedule(10, [&] { ran = true; });
+  pending.cancel();
+  fired.cancel();
+  EXPECT_FALSE(pending.pending());
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(next.pending_events(), 1u);
+  next.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(*tracker, 0);
+}
+
+TEST(EventCallback, MoveOnlyCapturesRun) {
+  EventScheduler sched;
+  auto value = std::make_unique<int>(41);
+  int seen = 0;
+  sched.schedule(1, [&seen, v = std::move(value)] { seen = *v + 1; });
+
+  net::Packet packet(std::vector<std::uint8_t>(64, 0xab));
+  packet.set_seq(7);
+  std::uint64_t seq = 0;
+  std::size_t size = 0;
+  sched.schedule(2, [&, p = std::move(packet)]() mutable {
+    net::Packet owned = std::move(p);
+    seq = owned.seq();
+    size = owned.size();
+  });
+  sched.run();
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(size, 64u);
+}
+
+// A callable larger than the inline buffer that counts how often a live
+// (not moved-from) instance is destroyed and how often it ran.
+struct BigCapture {
+  std::uint64_t words[16] = {};  // 128 bytes
+  int* runs;
+  int* destroyed;
+  bool live = true;
+  BigCapture(int* r, int* d) : runs(r), destroyed(d) { words[15] = 0xfeed; }
+  BigCapture(BigCapture&& o) noexcept : runs(o.runs), destroyed(o.destroyed) {
+    std::copy(std::begin(o.words), std::end(o.words), words);
+    o.live = false;
+  }
+  BigCapture(const BigCapture&) = delete;
+  ~BigCapture() {
+    if (live) ++*destroyed;
+  }
+  void operator()() { *runs += words[15] == 0xfeed ? 1 : 100; }
+};
+
+TEST(EventCallback, OversizedCaptureRunsAndIsDestroyedOnce) {
+  static_assert(sizeof(BigCapture) > EventCallback::kInlineBytes);
+  int runs = 0, destroyed = 0;
+  {
+    EventScheduler sched;
+    sched.schedule(1, BigCapture(&runs, &destroyed));
+    sched.schedule(3, BigCapture(&runs, &destroyed));
+    EventHandle cancelled = sched.schedule(5, BigCapture(&runs, &destroyed));
+    sched.schedule(7, BigCapture(&runs, &destroyed));
+    cancelled.cancel();
+    sched.run_until(1);
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 1);
+    sched.run_until(6);  // runs t=3, then reaps the cancelled t=5
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(destroyed, 3);
+    // The t=7 one is still queued when the scheduler goes away.
+  }
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(destroyed, 4);
+}
+
+TEST(EventScheduler, PendingCountExactWhenCancelledFromSameTimeCallback) {
+  EventScheduler sched;
+  std::vector<int> order;
+  EventHandle victim;
+  std::size_t pending_inside = 0;
+  sched.schedule(10, [&] {
+    order.push_back(0);
+    victim.cancel();
+    pending_inside = sched.pending_events();
+  });
+  victim = sched.schedule(10, [&] { order.push_back(1); });
+  sched.schedule(10, [&] { order.push_back(2); });
+  EXPECT_EQ(sched.pending_events(), 3u);
+  sched.run();
+  EXPECT_EQ(pending_inside, 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+// Fixed standalone scenario whose executed-event count and order digest
+// are pinned to literal values: any change to sequence assignment, FIFO
+// tie-breaking, cancellation or run_until/step semantics shows up here.
+// The scenario mixes nested same-time scheduling, cancels (including
+// cancels of events that already fired), run_until deadlines, single
+// steps and captures larger than any small-buffer optimisation.
+TEST(EventScheduler, PinnedOrderDigestReference) {
+  EventScheduler sched;
+  Rng rng(0x5eed);
+  std::vector<EventHandle> handles;
+  std::uint64_t checksum = 0;
+  struct Payload {
+    std::uint64_t words[12];  // 96 bytes
+  };
+  std::function<void(int)> spawn = [&](int depth) {
+    Payload payload{};
+    for (auto& w : payload.words) w = rng.next_u64();
+    const SimDuration delay = rng.next_below(4) == 0 ? 0 : rng.next_below(40);
+    handles.push_back(sched.schedule(delay, [&, payload, depth] {
+      checksum = (checksum ^ payload.words[depth % 12]) * 1099511628211ull;
+      if (depth < 6) {
+        const std::uint64_t children = rng.next_below(3);
+        for (std::uint64_t c = 0; c < children; ++c) spawn(depth + 1);
+      }
+      if (rng.next_below(3) == 0 && !handles.empty()) {
+        handles[rng.next_below(handles.size())].cancel();
+      }
+    }));
+  };
+  for (int i = 0; i < 64; ++i) spawn(0);
+  EXPECT_EQ(sched.run_until(60), 152u);
+  EXPECT_EQ(sched.pending_events(), 29u);
+  sched.run_until(61);
+  for (int i = 0; i < 5; ++i) sched.step();
+  EXPECT_EQ(sched.now(), 63u);
+  EXPECT_EQ(sched.run_until(150), 118u);
+  EXPECT_EQ(sched.pending_events(), 6u);
+  sched.run();
+  EXPECT_EQ(sched.executed_events(), 282u);
+  EXPECT_EQ(sched.order_digest(), 2467874808157545663ull);
+  EXPECT_EQ(checksum, 6503487339497904403ull);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_EQ(handles.size(), 304u);
 }
 
 // --- TokenBucket ------------------------------------------------------------------
