@@ -237,9 +237,11 @@ TEST(Mapping, RegistryKnowsBuiltinsAndExtensions) {
 
 /// Parameterized sweep: every algorithm maps chains of length 1..5 on
 /// the testbed, commits consistent reservations and reports consistent
-/// link mappings (chain-order invariants).
+/// link mappings (chain-order invariants). The algorithm name is a
+/// std::string so the printed parameter (and the test name CTest derives
+/// from it) is the name itself, not a build-dependent pointer address.
 class AlgorithmSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(AlgorithmSweep, InvariantsHold) {
   const auto [name, length] = GetParam();
@@ -274,8 +276,10 @@ TEST_P(AlgorithmSweep, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAndLengths, AlgorithmSweep,
-    ::testing::Combine(::testing::Values("greedy", "loadbalance", "delaygreedy",
-                                         "backtracking"),
+    ::testing::Combine(::testing::Values(std::string("greedy"),
+                                         std::string("loadbalance"),
+                                         std::string("delaygreedy"),
+                                         std::string("backtracking")),
                        ::testing::Values(1, 2, 3, 5)));
 
 TEST(ResourceView, BuiltFromLiveNetwork) {
