@@ -108,15 +108,10 @@ EventHandle EventScheduler::arm(EventScheduler& runner) {
   EventRecord* rec = free_;
   free_ = rec->next_free;
   --free_count_;
-  rec->live.store(&runner.live_remote_, std::memory_order_relaxed);
+  rec->live.store(&runner.live_, std::memory_order_relaxed);
   const std::uint64_t gen = rec->state.load(std::memory_order_relaxed) >> 1;
   rec->state.store((gen << 1) | kPending, std::memory_order_release);
-  if (&runner == this) {
-    live_local_.store(live_local_.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-  } else {
-    runner.live_remote_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  runner.live_.fetch_add(1, std::memory_order_acq_rel);
   return EventHandle{rec, gen};
 }
 
@@ -182,21 +177,16 @@ bool EventScheduler::pop_and_run() {
     const Key key = heap_.front();
     heap_pop();
     EventRecord* rec = key.rec;
-    // Claim the event. A shard of a ShardedScheduler may race a cancel
-    // from another shard's thread, so it claims with fetch_and: either
-    // the cancel wins (we skip the entry; the canceller adjusted the
-    // counter) or we do (the cancel becomes a no-op). A standalone queue
-    // is cancelled only from the thread running it, so a load suffices;
-    // recycle() clears the pending bit before the callback runs.
-    const std::uint64_t claimed =
-        owner_ != nullptr ? rec->state.fetch_and(~kPending, std::memory_order_acq_rel)
-                          : rec->state.load(std::memory_order_relaxed);
+    // Claim the event. A cancel may run on another thread, so the claim
+    // is a fetch_and racing the canceller's CAS: either the cancel wins
+    // (we skip the entry; the canceller adjusted the counter) or we do
+    // (the cancel becomes a no-op and the decrement is ours).
+    const std::uint64_t claimed = rec->state.fetch_and(~kPending, std::memory_order_acq_rel);
     if ((claimed & kPending) == 0) {
       recycle(rec);
       continue;
     }
-    live_local_.store(live_local_.load(std::memory_order_relaxed) - 1,
-                      std::memory_order_relaxed);
+    live_.fetch_sub(1, std::memory_order_acq_rel);
     now_ = key.when;
     ++executed_;
     digest_ = (digest_ ^ key.when) * kFnvPrime;

@@ -26,15 +26,15 @@
 //     it is never copied.
 //
 // Handles. An EventHandle is a {record, generation} pair. cancel() is a
-// compare-and-swap from `generation|pending` to `generation`; a shard of
-// a ShardedScheduler claims an event it fires with one atomic fetch_and
-// that clears the pending bit. Exactly one of the two succeeds, so a
-// handle cancelled from another shard's thread than the one firing the
-// event keeps the pending count exact and never races the callback:
-// whoever clears the bit owns the decrement. (A standalone scheduler's
-// handles are cancelled on the thread that runs it, so it claims with a
-// plain load.) A record is recycled only after its pending bit is clear,
-// and recycling bumps the generation, so a stale handle -- whose event
+// compare-and-swap from `generation|pending` to `generation`; the
+// scheduler claims an event it fires with one atomic fetch_and that
+// clears the pending bit. Exactly one of the two succeeds, so a handle
+// cancelled from another thread than the one firing the event -- for a
+// standalone scheduler as for a shard of a ShardedScheduler -- keeps the
+// pending count exact and never races the callback: whoever clears the
+// bit owns the decrement of the scheduler's one atomic pending counter.
+// A record is recycled only after its pending bit is clear, and
+// recycling bumps the generation, so a stale handle -- whose event
 // already fired or was cancelled and whose slot now carries a newer
 // event -- fails the CAS and is a no-op, and pending() reports false.
 // Slab memory is never returned to the system: a handle can always read
@@ -208,7 +208,8 @@ struct EventRecord {
 /// Cancellable handle to a scheduled event: a {record, generation} pair.
 /// Copies refer to the same event. All operations are safe on a
 /// default-constructed handle, after the event fired or was cancelled,
-/// after its scheduler was destroyed, and from another shard's thread.
+/// after its scheduler was destroyed, and from another thread than the
+/// one running the scheduler.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -285,8 +286,7 @@ class EventScheduler {
 
   /// Number of pending (non-cancelled, not yet fired) events.
   std::size_t pending_events() const {
-    return static_cast<std::size_t>(live_local_.load(std::memory_order_relaxed) +
-                                    live_remote_.load(std::memory_order_acquire));
+    return static_cast<std::size_t>(live_.load(std::memory_order_acquire));
   }
 
   bool empty() const { return pending_events() == 0; }
@@ -371,12 +371,9 @@ class EventScheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis
-  // Pending events = live_local_ + live_remote_. The owning thread
-  // counts its own schedules and fires in live_local_ with plain
-  // load/store; cancels and other shards' mailbox posts, which may run
-  // on any thread, go to live_remote_ with atomic read-modify-writes.
-  std::atomic<std::int64_t> live_local_{0};
-  std::atomic<std::int64_t> live_remote_{0};
+  // Pending events. Atomic: cancels and other shards' mailbox posts
+  // adjust it from any thread.
+  std::atomic<std::int64_t> live_{0};
   std::vector<Key> heap_;  // 4-ary min-heap on (when, seq)
   detail::EventRecord* free_ = nullptr;
   std::size_t free_count_ = 0;

@@ -2,8 +2,10 @@
 // bucket, RNG and histogram.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include "net/packet.hpp"
 #include "util/event.hpp"
@@ -357,6 +359,43 @@ TEST(EventScheduler, PendingCountExactWhenCancelledFromSameTimeCallback) {
   EXPECT_EQ(pending_inside, 1u);
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
   EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+// A standalone scheduler's handles may be cancelled from another thread
+// while it runs: each event either fires or is cancelled, never both, so
+// the pending count ends at exactly zero (a double decrement would wrap).
+// The canceller aims just past the last event that fired, so its CAS
+// races the runner's claim.
+TEST(EventHandle, CancelFromAnotherThreadRacingAStandaloneRunIsExact) {
+  constexpr int kEvents = 200000;
+  EventScheduler sched;
+  std::atomic<int> last{-1};
+  int fired = 0;
+  std::vector<EventHandle> handles;
+  handles.reserve(kEvents);
+  for (int i = 0; i < kEvents; ++i) {
+    handles.push_back(sched.schedule(static_cast<SimTime>(i + 1), [&last, &fired, i] {
+      ++fired;
+      last.store(i, std::memory_order_release);
+    }));
+  }
+  std::atomic<bool> done{false};
+  std::thread canceller([&] {
+    int ahead = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      // The runner moves on while `last` crosses cores, so aim a varying
+      // distance ahead to land some cancels right on its claim.
+      ahead = ahead % 8 + 1;
+      const int target = last.load(std::memory_order_acquire) + ahead;
+      if (target < kEvents) handles[target].cancel();
+    }
+  });
+  sched.run();
+  done.store(true, std::memory_order_release);
+  canceller.join();
+  EXPECT_EQ(sched.pending_events(), 0u);
+  EXPECT_LE(fired, kEvents);
+  for (const EventHandle& h : handles) EXPECT_FALSE(h.pending());
 }
 
 // Fixed standalone scenario whose executed-event count and order digest
