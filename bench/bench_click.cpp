@@ -51,8 +51,7 @@ static void BM_Click_ElementChainDepth(benchmark::State& state) {
   const Packet tmpl = bench_packet(size);
 
   for (auto _ : state) {
-    Packet p = tmpl;
-    head->push(0, std::move(p));
+    head->push_batch(0, net::PacketBatch::of(Packet(tmpl)));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -83,8 +82,7 @@ static void BM_Click_IPClassifierRules(benchmark::State& state) {
   Element* cl = (*router)->element("cl");
   const Packet tmpl = bench_packet(98);  // dst port 2000: misses every rule
   for (auto _ : state) {
-    Packet p = tmpl;
-    cl->push(0, std::move(p));
+    cl->push_batch(0, net::PacketBatch::of(Packet(tmpl)));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["rules"] = rules;

@@ -1,7 +1,6 @@
 #include "click/element.hpp"
 
 #include "click/router.hpp"
-#include "obs/metrics.hpp"
 #include "util/strings.hpp"
 
 namespace escape::click {
@@ -137,21 +136,15 @@ Status Element::configure(const ConfigArgs&) { return ok_status(); }
 
 Status Element::initialize(Router&) { return ok_status(); }
 
-void Element::push(int, Packet&&) {
-  // Default: packets pushed into an element with no push implementation
-  // are dropped (mirrors Click's Element::push complaint).
-  ++unconnected_drops_;
-}
-
 std::optional<Packet> Element::pull(int) {
   if (!inputs_.empty() && inputs_[0].peer) return input_pull(0);
   return std::nullopt;
 }
 
-void Element::push_batch(int port, PacketBatch&& batch) {
-  // Fallback: unroll through the scalar path so elements without a batch
-  // override behave identically in both modes.
-  for (auto& p : batch) push(port, std::move(p));
+void Element::push_batch(int, PacketBatch&& batch) {
+  // Default: packets pushed into an element with no push implementation
+  // are dropped (mirrors Click's Element::push complaint).
+  unconnected_drops_ += batch.size();
 }
 
 PacketBatch Element::pull_batch(int port, std::size_t max) {
@@ -164,15 +157,6 @@ PacketBatch Element::pull_batch(int port, std::size_t max) {
   return out;
 }
 
-void Element::output_push(int port, Packet&& p) {
-  auto& out = outputs_[static_cast<std::size_t>(port)];
-  if (!out.peer) {
-    ++unconnected_drops_;
-    return;
-  }
-  out.peer->push(out.peer_port, std::move(p));
-}
-
 void Element::output_push_batch(int port, PacketBatch&& batch) {
   auto& out = outputs_[static_cast<std::size_t>(port)];
   if (!out.peer) {
@@ -180,32 +164,6 @@ void Element::output_push_batch(int port, PacketBatch&& batch) {
     return;
   }
   out.peer->push_batch(out.peer_port, std::move(batch));
-}
-
-void Element::output_push_all(Packet&& p) {
-  // Clone only for the first N-1 connected outputs; the original moves
-  // into the last. Every clone is a full buffer copy and is counted.
-  int last = -1;
-  for (int i = n_outputs() - 1; i >= 0; --i) {
-    if (output_connected(i)) {
-      last = i;
-      break;
-    }
-  }
-  if (last < 0) {
-    unconnected_drops_ += static_cast<std::uint64_t>(n_outputs());
-    return;
-  }
-  for (int i = 0; i < last; ++i) {
-    if (!output_connected(i)) {
-      ++unconnected_drops_;
-      continue;
-    }
-    Packet copy = p;
-    stats::packet_clones().add();
-    output_push(i, std::move(copy));
-  }
-  output_push(last, std::move(p));
 }
 
 void Element::output_push_all_batch(PacketBatch&& batch) {
@@ -320,11 +278,6 @@ void RunEmitter::flush() {
 }
 
 // --- SimpleElement -----------------------------------------------------------
-
-void SimpleElement::push(int, Packet&& p) {
-  Verdict v = process(p);
-  if (v.keep) output_push(v.out_port, std::move(p));
-}
 
 std::optional<Packet> SimpleElement::pull(int) {
   while (true) {

@@ -131,25 +131,22 @@ class Element {
   virtual Status initialize(Router& router);
 
   // --- packet movement ----------------------------------------------------
+  //
+  // Push is batch-only: push_batch is the one way a packet enters an
+  // element, and a single packet travels as a batch of one. Every
+  // element must handle any decomposition of a packet sequence into
+  // batches exactly as it handles the same sequence in batches of one
+  // (see the determinism rule in DESIGN.md "Batched data plane").
+  // Pull stays per packet, with pull_batch as the burst form, because
+  // pull schedulers decide packet by packet.
 
-  /// Receives a packet pushed into `port`. Default: drop.
-  virtual void push(int port, Packet&& p);
+  /// Receives a batch pushed into `port`, in arrival order. Default:
+  /// drop and count (an element with no push input).
+  virtual void push_batch(int port, PacketBatch&& batch);
 
   /// Produces a packet when downstream pulls from output `port`.
   /// Default: pull from input 0 and pass through.
   virtual std::optional<Packet> pull(int port);
-
-  // --- batch movement -----------------------------------------------------
-  //
-  // Every element accepts batches: the default implementations unroll
-  // the batch through the per-packet push/pull above, so an element
-  // without a batch override behaves *exactly* like the scalar path.
-  // Hot elements override these to process the whole run in one virtual
-  // call. Overrides must preserve the scalar packet order (see the
-  // determinism rule in DESIGN.md "Batched data plane").
-
-  /// Receives a batch pushed into `port`. Default: per-packet push loop.
-  virtual void push_batch(int port, PacketBatch&& batch);
 
   /// Produces up to `max` packets when downstream pulls a burst from
   /// output `port`. Default: per-packet pull loop.
@@ -175,21 +172,14 @@ class Element {
   void add_read_handler(std::string name, ReadHandler fn);
   void add_write_handler(std::string name, WriteHandler fn);
 
-  /// Pushes a packet out of `port`. Packets pushed out of unconnected
-  /// ports are counted and dropped (Click wires such ports to Discard).
-  void output_push(int port, Packet&& p);
-
   /// Pushes a whole batch out of `port` with one downstream call.
+  /// Packets pushed out of unconnected ports are counted and dropped
+  /// (Click wires such ports to Discard).
   void output_push_batch(int port, PacketBatch&& batch);
 
-  /// Fan-out emission (the Tee primitive): pushes `p` to every output in
-  /// [0, n_outputs()), cloning only for the first N-1 connected outputs
-  /// and moving the original into the last. Clones are counted in
-  /// stats::packet_clones().
-  void output_push_all(Packet&& p);
-
-  /// Batch fan-out: clones the batch for the first N-1 connected outputs
-  /// (counted per packet) and moves it into the last.
+  /// Fan-out emission (the Tee primitive): clones the batch for the
+  /// first N-1 connected outputs (each clone counted in
+  /// stats::packet_clones()) and moves it into the last.
   void output_push_all_batch(PacketBatch&& batch);
 
   /// Pulls a packet from upstream of input `port` (nullopt if none or
@@ -242,13 +232,14 @@ class Element {
   std::vector<std::pair<std::string, WriteHandler>> write_handlers_;
 };
 
-/// Order-preserving batch splitter for classify-style elements. Scalar
-/// classifiers emit each packet downstream as soon as it is classified;
-/// a batch override must not reorder that sequence even when the batch
-/// fans out over several output ports. RunEmitter works on the incoming
-/// batch in place, regroups it into maximal runs of consecutive packets
-/// bound for the same port, and emits the runs in arrival order, so the
-/// global emission order matches the scalar path exactly while
+/// Order-preserving batch splitter for elements whose packets pick their
+/// output port. Fed the same packets in batches of one, such an element
+/// emits each packet downstream as soon as it is classified; a larger
+/// batch must not reorder that sequence even when it fans out over
+/// several output ports. RunEmitter works on the incoming batch in
+/// place, regroups it into maximal runs of consecutive packets bound for
+/// the same port, and emits the runs in arrival order, so the global
+/// emission order matches the batch-of-one decomposition exactly while
 /// same-port bursts still move as batches. When every packet survives
 /// to a single port -- the pass-through hot case -- the original batch
 /// is forwarded whole, with no per-packet repacking. Dropped packets
@@ -285,11 +276,10 @@ class SimpleElement : public Element {
  public:
   SimpleElement() { declare_ports({PortMode::kAgnostic}, {PortMode::kAgnostic}); }
 
-  void push(int port, Packet&& p) final;
   std::optional<Packet> pull(int port) final;
 
-  /// Batch path: processes every packet with one virtual call, emitting
-  /// run-wise so the downstream order matches the scalar path.
+  /// Processes every packet with one virtual call, emitting run-wise
+  /// so the downstream order matches per-packet processing.
   void push_batch(int port, PacketBatch&& batch) override;
   PacketBatch pull_batch(int port, std::size_t max) override;
 

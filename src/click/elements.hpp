@@ -54,7 +54,6 @@ class Discard : public Element {
  public:
   Discard();
   std::string_view class_name() const override { return "Discard"; }
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -170,7 +169,6 @@ class Tee : public Element {
   Tee();
   std::string_view class_name() const override { return "Tee"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 };
 
@@ -181,7 +179,6 @@ class Switch : public Element {
   Switch();
   std::string_view class_name() const override { return "Switch"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -194,7 +191,7 @@ class RoundRobinSwitch : public Element {
   RoundRobinSwitch();
   std::string_view class_name() const override { return "RoundRobinSwitch"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::size_t next_ = 0;
@@ -220,7 +217,6 @@ class PaintSwitch : public Element {
   PaintSwitch();
   std::string_view class_name() const override { return "PaintSwitch"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 };
 
@@ -230,7 +226,6 @@ class CheckPaint : public Element {
   CheckPaint();
   std::string_view class_name() const override { return "CheckPaint"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -244,7 +239,6 @@ class Classifier : public Element {
   Classifier();
   std::string_view class_name() const override { return "Classifier"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -266,7 +260,6 @@ class IPClassifier : public Element {
   std::string_view class_name() const override { return "IPClassifier"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -290,7 +283,6 @@ class IPFilter : public Element {
   std::string_view class_name() const override { return "IPFilter"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -311,9 +303,8 @@ class Queue : public Element {
   Queue();
   std::string_view class_name() const override { return "Queue"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
-  std::optional<Packet> pull(int port) override;
   void push_batch(int port, PacketBatch&& batch) override;
+  std::optional<Packet> pull(int port) override;
   PacketBatch pull_batch(int port, std::size_t max) override;
 
   std::size_t length() const { return queue_.size(); }
@@ -401,7 +392,7 @@ class CheckIPHeader : public Element {
  public:
   CheckIPHeader();
   std::string_view class_name() const override { return "CheckIPHeader"; }
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::uint64_t drops_ = 0;
@@ -413,7 +404,7 @@ class DecIPTTL : public Element {
  public:
   DecIPTTL();
   std::string_view class_name() const override { return "DecIPTTL"; }
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::uint64_t expired_ = 0;
@@ -473,7 +464,7 @@ class Delay : public Element {
   std::string_view class_name() const override { return "Delay"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   SimDuration delay_ = timeunit::kMillisecond;
@@ -486,7 +477,7 @@ class RandomSample : public Element {
   RandomSample();
   std::string_view class_name() const override { return "RandomSample"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   double p_ = 1.0;
@@ -501,7 +492,6 @@ class Meter : public Element {
   Meter();
   std::string_view class_name() const override { return "Meter"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -522,7 +512,6 @@ class Firewall : public Element {
   std::string_view class_name() const override { return "Firewall"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
   std::uint64_t accepted() const { return accepted_; }
@@ -548,17 +537,23 @@ class Firewall : public Element {
 /// Stateful NAPT. Input/output 0: internal -> external direction (source
 /// rewritten to EXTERNAL_IP:allocated-port); input/output 1: external ->
 /// internal (destination translated back). Unknown inbound flows are
-/// dropped. NAPT(EXTERNAL_IP 192.0.2.1, PORT_BASE 20000).
+/// dropped. NAPT(EXTERNAL_IP 192.0.2.1, PORT_BASE 20000). External
+/// ports come from [PORT_BASE, 65535] and are never reused; once they
+/// are used up, packets of new flows are dropped and counted in the
+/// `exhausted` handler.
 class NAPT : public Element {
  public:
   NAPT();
   std::string_view class_name() const override { return "NAPT"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
   std::size_t active_mappings() const { return by_internal_.size(); }
 
  private:
+  /// Rewrites `p` arriving on `port` in place; false if it must drop.
+  bool translate(int port, Packet& p);
+
   struct InternalKey {
     std::uint32_t ip;
     std::uint16_t port;
@@ -568,11 +563,12 @@ class NAPT : public Element {
     }
   };
   net::Ipv4Addr external_ip_{192, 0, 2, 1};
-  std::uint16_t next_port_ = 20000;
+  std::uint32_t next_port_ = 20000;  // > 65535 once the pool is used up
   std::map<InternalKey, std::uint16_t> by_internal_;          // -> external port
   std::map<std::uint16_t, InternalKey> by_external_;          // external port -> internal
   std::uint64_t translated_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t exhausted_ = 0;  // new-flow packets refused: no port left
 };
 
 /// Distributes flows over N outputs. MODE flow (default; FlowKey hash,
@@ -582,7 +578,7 @@ class LoadBalancer : public Element {
   LoadBalancer();
   std::string_view class_name() const override { return "LoadBalancer"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   bool per_flow_ = true;
@@ -638,7 +634,7 @@ class ToDevice : public Element {
   ToDevice();
   std::string_view class_name() const override { return "ToDevice"; }
   Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
   const std::string& devname() const { return devname_; }
   void set_sink(std::function<void(Packet&&)> sink) { sink_ = std::move(sink); }

@@ -1,4 +1,5 @@
 // Sources, sinks, counters and classification elements.
+#include <algorithm>
 #include <cctype>
 
 #include "click/elements.hpp"
@@ -61,11 +62,6 @@ Discard::Discard() {
   add_read_handler("count", [this] { return std::to_string(count_); });
 }
 
-void Discard::push(int, Packet&& p) {
-  ++count_;
-  net::default_packet_pool().recycle(std::move(p));
-}
-
 void Discard::push_batch(int, PacketBatch&& batch) {
   count_ += batch.size();
   net::default_packet_pool().recycle(std::move(batch));
@@ -97,12 +93,16 @@ Packet InfiniteSource::make_packet() {
 }
 
 std::optional<SimDuration> InfiniteSource::run_once() {
-  for (std::uint64_t i = 0; i < burst_; ++i) {
-    if (limit_ && emitted_ >= limit_) return std::nullopt;
-    Packet p = make_packet();
+  if (limit_ && emitted_ >= limit_) return std::nullopt;
+  // The whole burst is made at one instant and leaves as one batch.
+  const std::uint64_t n = limit_ ? std::min(burst_, limit_ - emitted_) : burst_;
+  PacketBatch batch(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    batch.push_back(make_packet());
     ++emitted_;
-    output_push(0, std::move(p));
   }
+  if (!batch.empty()) output_push_batch(0, std::move(batch));
+  if (n < burst_) return std::nullopt;  // LIMIT reached mid-burst
   return router()->scale_delay(interval_);
 }
 
@@ -139,7 +139,7 @@ std::optional<SimDuration> RatedSource::run_once() {
   if (limit_ && emitted_ >= limit_) return std::nullopt;
   Packet p = tmpl_.make(length_, emitted_, router()->scheduler().now());
   ++emitted_;
-  output_push(0, std::move(p));
+  output_push_batch(0, PacketBatch::of(std::move(p)));
   // One packet per 1/rate seconds.
   return timeunit::kSecond / rate_;
 }
@@ -163,7 +163,7 @@ Status TimedSource::initialize(Router& router) {
     if (limit_ && emitted_ >= limit_) return std::nullopt;
     Packet p = tmpl_.make(length_, emitted_, this->router()->scheduler().now());
     ++emitted_;
-    output_push(0, std::move(p));
+    output_push_batch(0, PacketBatch::of(std::move(p)));
     return interval_;
   });
   task_->reschedule(interval_);
@@ -244,8 +244,6 @@ Status Tee::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void Tee::push(int, Packet&& p) { output_push_all(std::move(p)); }
-
 void Tee::push_batch(int, PacketBatch&& batch) { output_push_all_batch(std::move(batch)); }
 
 // --- Switch ----------------------------------------------------------------------
@@ -278,10 +276,6 @@ Status Switch::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void Switch::push(int, Packet&& p) {
-  if (current_ >= 0) output_push(current_, std::move(p));
-}
-
 void Switch::push_batch(int, PacketBatch&& batch) {
   if (current_ >= 0) output_push_batch(current_, std::move(batch));
 }
@@ -305,10 +299,10 @@ Status RoundRobinSwitch::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void RoundRobinSwitch::push(int, Packet&& p) {
-  const int port = static_cast<int>(next_ % static_cast<std::size_t>(n_outputs()));
-  ++next_;
-  output_push(port, std::move(p));
+void RoundRobinSwitch::push_batch(int, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
+  const auto n = static_cast<std::size_t>(n_outputs());
+  for (std::size_t i = 0; i < out.size(); ++i) out.keep(i, static_cast<int>(next_++ % n));
 }
 
 // --- Paint / PaintSwitch / CheckPaint -----------------------------------------------
@@ -344,12 +338,6 @@ Status PaintSwitch::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void PaintSwitch::push(int, Packet&& p) {
-  int port = p.paint();
-  if (port >= n_outputs()) port = n_outputs() - 1;
-  output_push(port, std::move(p));
-}
-
 void PaintSwitch::push_batch(int, PacketBatch&& batch) {
   RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -370,10 +358,6 @@ Status CheckPaint::configure(const ConfigArgs& args) {
     color_ = static_cast<std::uint8_t>(*c);
   }
   return ok_status();
-}
-
-void CheckPaint::push(int, Packet&& p) {
-  output_push(p.paint() == color_ ? 0 : 1, std::move(p));
 }
 
 void CheckPaint::push_batch(int, PacketBatch&& batch) {
@@ -442,17 +426,11 @@ int Classifier::classify(const Packet& p) const {
   return -1;
 }
 
-void Classifier::push(int, Packet&& p) {
-  const int port = classify(p);
-  if (port >= 0) output_push(port, std::move(p));
-  // No match: drop (Click semantics).
-}
-
 void Classifier::push_batch(int, PacketBatch&& batch) {
   RunEmitter out(*this, batch);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const int port = classify(out[i]);
-    if (port >= 0) out.keep(i, port);
+    if (port >= 0) out.keep(i, port);  // no match: drop (Click semantics)
   }
 }
 
@@ -521,15 +499,6 @@ int IPClassifier::classify_cached(const Packet& p) {
   return port;
 }
 
-void IPClassifier::push(int, Packet&& p) {
-  const int port = classify_cached(p);
-  if (port >= 0) {
-    output_push(port, std::move(p));
-    return;
-  }
-  ++no_match_drops_;
-}
-
 void IPClassifier::push_batch(int, PacketBatch&& batch) {
   RunEmitter out(*this, batch);
   // Flow-run verdict cache (see IPFilter::push_batch).
@@ -582,17 +551,6 @@ bool IPFilter::match_cached(const Packet& p) {
   return hit;
 }
 
-void IPFilter::push(int, Packet&& p) {
-  const bool hit = match_cached(p);
-  if (hit) {
-    ++matched_;
-    output_push(0, std::move(p));
-  } else {
-    ++rejected_;
-    output_push(1, std::move(p));  // dropped if unconnected
-  }
-}
-
 void IPFilter::push_batch(int, PacketBatch&& batch) {
   RunEmitter out(*this, batch);
   // Flow-run verdict cache: byte-identical headers classify identically,
@@ -609,7 +567,7 @@ void IPFilter::push_batch(int, PacketBatch&& batch) {
       out.keep(i, 0);
     } else {
       ++rejected_;
-      out.keep(i, 1);
+      out.keep(i, 1);  // dropped if unconnected
     }
   }
 }

@@ -13,20 +13,27 @@ CheckIPHeader::CheckIPHeader() {
   add_read_handler("drops", [this] { return std::to_string(drops_); });
 }
 
-void CheckIPHeader::push(int, Packet&& p) {
+namespace {
+
+bool valid_ipv4_header(const Packet& p) {
   auto eth = net::EthernetView::parse(p.bytes());
-  bool ok = false;
-  if (eth && eth->ethertype == net::ethertype::kIpv4) {
-    if (auto ip = net::Ipv4View::parse(eth->payload)) {
-      ok = net::Ipv4View::verify_checksum(eth->payload) &&
-           ip->total_length >= ip->header_len() && ip->total_length <= eth->payload.size();
+  if (!eth || eth->ethertype != net::ethertype::kIpv4) return false;
+  auto ip = net::Ipv4View::parse(eth->payload);
+  return ip && net::Ipv4View::verify_checksum(eth->payload) &&
+         ip->total_length >= ip->header_len() && ip->total_length <= eth->payload.size();
+}
+
+}  // namespace
+
+void CheckIPHeader::push_batch(int, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (valid_ipv4_header(out[i])) {
+      out.keep(i, 0);
+    } else {
+      ++drops_;
+      if (output_connected(1)) out.keep(i, 1);
     }
-  }
-  if (ok) {
-    output_push(0, std::move(p));
-  } else {
-    ++drops_;
-    if (output_connected(1)) output_push(1, std::move(p));
   }
 }
 
@@ -37,12 +44,15 @@ DecIPTTL::DecIPTTL() {
   add_read_handler("expired", [this] { return std::to_string(expired_); });
 }
 
-void DecIPTTL::push(int, Packet&& p) {
-  if (net::dec_ipv4_ttl(p)) {
-    output_push(0, std::move(p));
-  } else {
-    ++expired_;
-    if (output_connected(1)) output_push(1, std::move(p));
+void DecIPTTL::push_batch(int, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (net::dec_ipv4_ttl(out[i])) {
+      out.keep(i, 0);
+    } else {
+      ++expired_;
+      if (output_connected(1)) out.keep(i, 1);
+    }
   }
 }
 

@@ -31,19 +31,6 @@ Status Queue::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void Queue::push(int, Packet&& p) {
-  if (queue_.size() >= capacity_) {
-    ++drops_;  // tail drop
-    return;
-  }
-  const bool was_empty = queue_.empty();
-  queue_.push_back(std::move(p));
-  highwater_ = std::max(highwater_, queue_.size());
-  if (was_empty) {
-    for (auto& fn : listeners_) fn();
-  }
-}
-
 std::optional<Packet> Queue::pull(int) {
   if (queue_.empty()) return std::nullopt;
   Packet p = std::move(queue_.front());
@@ -52,12 +39,12 @@ std::optional<Packet> Queue::pull(int) {
 }
 
 void Queue::push_batch(int, PacketBatch&& batch) {
-  // Bulk append with the same tail-drop policy as the scalar path and a
-  // single empty -> non-empty wake-up for the whole burst.
+  // Bulk append with tail drop and a single empty -> non-empty wake-up
+  // for the whole burst.
   const bool was_empty = queue_.empty();
   for (auto& p : batch) {
     if (queue_.size() >= capacity_) {
-      ++drops_;
+      ++drops_;  // tail drop
       continue;
     }
     queue_.push_back(std::move(p));
@@ -169,7 +156,7 @@ std::optional<SimDuration> RatedUnqueue::run_once() {
   }
   auto p = input_pull(0);
   if (!p) return std::nullopt;  // empty upstream; bucket token already burned
-  output_push(0, std::move(*p));
+  output_push_batch(0, PacketBatch::of(std::move(*p)));
   const SimTime next = bucket_->next_available(now, 1);
   return next > now ? next - now : timeunit::kMicrosecond;
 }

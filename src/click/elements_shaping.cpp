@@ -77,10 +77,14 @@ Status Delay::configure(const ConfigArgs& args) {
 
 Status Delay::initialize(Router&) { return ok_status(); }
 
-void Delay::push(int, Packet&& p) {
-  router()->scheduler().schedule(delay_, [this, p = std::move(p)]() mutable {
-    output_push(0, std::move(p));
-  });
+void Delay::push_batch(int, PacketBatch&& batch) {
+  // One event per packet: each leaves as a batch of one, so event order
+  // does not depend on how its arrivals were batched.
+  for (auto& p : batch) {
+    router()->scheduler().schedule(delay_, [this, p = std::move(p)]() mutable {
+      output_push_batch(0, PacketBatch::of(std::move(p)));
+    });
+  }
 }
 
 // --- RandomSample --------------------------------------------------------------------
@@ -103,13 +107,16 @@ Status RandomSample::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void RandomSample::push(int, Packet&& p) {
-  if (rng_.next_bool(p_)) {
-    ++sampled_;
-    output_push(0, std::move(p));
-  } else {
-    ++dropped_;
-    if (output_connected(1)) output_push(1, std::move(p));
+void RandomSample::push_batch(int, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (rng_.next_bool(p_)) {
+      ++sampled_;
+      out.keep(i, 0);
+    } else {
+      ++dropped_;
+      if (output_connected(1)) out.keep(i, 1);
+    }
   }
 }
 
@@ -129,17 +136,6 @@ Status Meter::configure(const ConfigArgs& args) {
   }
   bucket_.emplace(rate_, std::max<std::uint64_t>(rate_ / 10, 1));
   return ok_status();
-}
-
-void Meter::push(int, Packet&& p) {
-  const SimTime now = router()->scheduler().now();
-  if (bucket_->try_consume(now, 1)) {
-    ++conforming_;
-    output_push(0, std::move(p));
-  } else {
-    ++exceeding_;
-    output_push(1, std::move(p));
-  }
 }
 
 void Meter::push_batch(int, PacketBatch&& batch) {

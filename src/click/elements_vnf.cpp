@@ -105,17 +105,6 @@ bool Firewall::allow_cached(const Packet& p) {
   return allow;
 }
 
-void Firewall::push(int, Packet&& p) {
-  const bool allow = allow_cached(p);
-  if (allow) {
-    ++accepted_;
-    output_push(0, std::move(p));
-  } else {
-    ++denied_;
-    if (output_connected(1)) output_push(1, std::move(p));
-  }
-}
-
 void Firewall::push_batch(int, PacketBatch&& batch) {
   RunEmitter out(*this, batch);
   // Flow-run verdict cache: byte-identical headers hit the same rule,
@@ -144,6 +133,7 @@ NAPT::NAPT() {
   add_read_handler("mappings", [this] { return std::to_string(by_internal_.size()); });
   add_read_handler("translated", [this] { return std::to_string(translated_); });
   add_read_handler("dropped", [this] { return std::to_string(dropped_); });
+  add_read_handler("exhausted", [this] { return std::to_string(exhausted_); });
 }
 
 Status NAPT::configure(const ConfigArgs& args) {
@@ -156,20 +146,17 @@ Status NAPT::configure(const ConfigArgs& args) {
     if (*v == 0 || *v > 65535) {
       return make_error("click.config.bad-arg", "PORT_BASE must be 1..65535");
     }
-    next_port_ = static_cast<std::uint16_t>(*v);
+    next_port_ = static_cast<std::uint32_t>(*v);
   }
   return ok_status();
 }
 
-void NAPT::push(int port, Packet&& p) {
+bool NAPT::translate(int port, Packet& p) {
   auto key = net::extract_flow_key(p, 0);
   const bool is_l4 = key && key->dl_type == net::ethertype::kIpv4 &&
                      (key->nw_proto == net::ipproto::kTcp ||
                       key->nw_proto == net::ipproto::kUdp);
-  if (!is_l4) {
-    ++dropped_;
-    return;
-  }
+  if (!is_l4) return false;
 
   if (port == 0) {
     // Internal -> external: allocate (or reuse) a mapping, rewrite source.
@@ -179,25 +166,37 @@ void NAPT::push(int port, Packet&& p) {
     if (it != by_internal_.end()) {
       ext_port = it->second;
     } else {
-      ext_port = next_port_++;
+      // Ports are never reused: once [PORT_BASE, 65535] is handed out,
+      // new flows are refused rather than aliasing a live mapping.
+      if (next_port_ > 65535) {
+        ++exhausted_;
+        return false;
+      }
+      ext_port = static_cast<std::uint16_t>(next_port_++);
       by_internal_[ik] = ext_port;
       by_external_[ext_port] = ik;
     }
     net::set_ipv4_src(p, external_ip_);
     net::set_l4_src_port(p, ext_port);
-    ++translated_;
-    output_push(0, std::move(p));
-  } else {
-    // External -> internal: translate destination back, or drop.
-    auto it = by_external_.find(key->tp_dst);
-    if (it == by_external_.end() || key->nw_dst != external_ip_) {
+    return true;
+  }
+  // External -> internal: translate destination back, or drop.
+  auto it = by_external_.find(key->tp_dst);
+  if (it == by_external_.end() || key->nw_dst != external_ip_) return false;
+  net::set_ipv4_dst(p, net::Ipv4Addr(it->second.ip));
+  net::set_l4_dst_port(p, it->second.port);
+  return true;
+}
+
+void NAPT::push_batch(int port, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (translate(port, out[i])) {
+      ++translated_;
+      out.keep(i, port);
+    } else {
       ++dropped_;
-      return;
     }
-    net::set_ipv4_dst(p, net::Ipv4Addr(it->second.ip));
-    net::set_l4_dst_port(p, it->second.port);
-    ++translated_;
-    output_push(1, std::move(p));
   }
 }
 
@@ -230,17 +229,20 @@ Status LoadBalancer::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void LoadBalancer::push(int, Packet&& p) {
-  std::size_t port;
+void LoadBalancer::push_batch(int, PacketBatch&& batch) {
+  RunEmitter out(*this, batch);
   const auto n = static_cast<std::size_t>(n_outputs());
-  if (per_flow_) {
-    auto key = net::extract_flow_key(p, 0);
-    port = key ? std::hash<net::FlowKey>{}(*key) % n : 0;
-  } else {
-    port = rr_next_++ % n;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    std::size_t port;
+    if (per_flow_) {
+      auto key = net::extract_flow_key(out[i], 0);
+      port = key ? std::hash<net::FlowKey>{}(*key) % n : 0;
+    } else {
+      port = rr_next_++ % n;
+    }
+    ++out_counts_[port];
+    out.keep(i, static_cast<int>(port));
   }
-  ++out_counts_[port];
-  output_push(static_cast<int>(port), std::move(p));
 }
 
 // --- DpiCounter -------------------------------------------------------------------
@@ -291,10 +293,7 @@ Status FromDevice::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void FromDevice::inject(Packet&& p) {
-  ++received_;
-  output_push(0, std::move(p));
-}
+void FromDevice::inject(Packet&& p) { inject_batch(PacketBatch::of(std::move(p))); }
 
 void FromDevice::inject_batch(PacketBatch&& batch) {
   received_ += batch.size();
@@ -313,13 +312,16 @@ Status ToDevice::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-void ToDevice::push(int, Packet&& p) {
-  if (!sink_) {
-    ++no_sink_drops_;
-    return;
+void ToDevice::push_batch(int, PacketBatch&& batch) {
+  // The batch's storage stays with its owner; only the packets move out.
+  for (auto& p : batch) {
+    if (!sink_) {
+      ++no_sink_drops_;
+      continue;
+    }
+    ++sent_;
+    sink_(std::move(p));
   }
-  ++sent_;
-  sink_(std::move(p));
 }
 
 }  // namespace escape::click

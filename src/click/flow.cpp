@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 #include "click/flow_cache.hpp"
 #include "click/router.hpp"
@@ -472,51 +473,11 @@ void FlowManager::hold_packet(Packet&& p) {
 
 void FlowManager::set_hold(bool hold) {
   holding_ = hold;
-  // Releasing flushes FIFO through the normal push path, so the held
-  // packets classify against the (just-imported) flow state in arrival
-  // order. A re-hold mid-flush stops the drain with the rest still held.
-  while (!holding_ && !held_.empty()) {
-    Packet p = std::move(held_.front());
-    held_.pop_front();
-    classify_push(std::move(p));
-  }
-}
-
-void FlowManager::push(int, Packet&& p) {
-  if (holding_) {
-    hold_packet(std::move(p));
-    return;
-  }
-  classify_push(std::move(p));
-}
-
-void FlowManager::classify_push(Packet&& p) {
-  auto tuple = FlowTuple::from_packet(p);
-  if (!tuple) {
-    ++non_ip_;
-    output_push(0, std::move(p));
-    return;
-  }
-  ++lookups_;
-  SimTime now = router()->scheduler().now();
-  auto res = table_.find_or_create(*tuple, now);
-  if (res.block == nullptr) {
-    ++full_drops_;
-    if (output_connected(1)) output_push(1, std::move(p));
-    return;
-  }
-  if (res.created) {
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  auto* hdr = table_.header_of(res.block);
-  hdr->last_seen = now;
-  ++hdr->packets;
-  hdr->bytes += p.size();
-  FlowCtx ctx{this, res.block};
-  FlowScope scope(&ctx);
-  output_push(0, std::move(p));
+  if (holding_ || held_.empty()) return;
+  // Releasing flushes the held packets as one batch through the normal
+  // push path, so they classify against the (just-imported) flow state
+  // in arrival order.
+  push_batch(0, std::exchange(held_, PacketBatch{}));
 }
 
 void FlowManager::emit_run(PacketBatch& batch, std::size_t i, std::size_t j, int out,
@@ -696,7 +657,12 @@ Status FlowNAT::configure(const ConfigArgs& args) {
     if (!ip) return make_error("click.flownat.config", "bad EXTERNAL_IP '" + *v + "'");
     external_ip_ = *ip;
   }
-  if (auto v = args.keyword_u64("PORT_BASE")) port_base_ = static_cast<std::uint16_t>(*v);
+  if (auto v = args.keyword_u64("PORT_BASE")) {
+    if (*v == 0 || *v > 65535) {
+      return make_error("click.flownat.config", "PORT_BASE must be 1..65535");
+    }
+    port_base_ = static_cast<std::uint16_t>(*v);
+  }
   if (auto v = args.keyword_u64("PORT_COUNT")) port_count_ = *v;
   if (port_count_ == 0 || port_base_ + port_count_ > 65536) {
     return make_error("click.flownat.config", "port range out of bounds");
@@ -782,40 +748,9 @@ FlowNAT::NatSlot* FlowNAT::outbound_slot(const Packet& p) {
   return slot;
 }
 
-void FlowNAT::push(int port, Packet&& p) {
-  if (port == 0) {
-    NatSlot* slot = outbound_slot(p);
-    if (slot == nullptr) {
-      ++dropped_;
-      return;
-    }
-    net::set_ipv4_src(p, external_ip_);
-    net::set_l4_src_port(p, slot->ext_port);
-    ++translated_;
-    output_push(0, std::move(p));
-    return;
-  }
-  // Reverse direction: translate dst (external ip/port) back to the
-  // internal host; unknown mappings drop (nothing to deliver to).
-  auto tuple = FlowTuple::from_packet(p);
-  if (!tuple || tuple->dst_ip != external_ip_.value()) {
-    ++dropped_;
-    return;
-  }
-  auto it = reverse_.find(ReverseKey{tuple->proto, tuple->dst_port});
-  if (it == reverse_.end()) {
-    ++dropped_;
-    return;
-  }
-  net::set_ipv4_dst(p, net::Ipv4Addr(it->second.ip));
-  net::set_l4_dst_port(p, it->second.port);
-  ++translated_;
-  output_push(1, std::move(p));
-}
-
 void FlowNAT::push_batch(int port, PacketBatch&& batch) {
-  // The scalar path already handles per-packet state; RunEmitter keeps
-  // same-verdict runs batched while preserving the drop semantics.
+  // Per-packet state, run-wise emission: RunEmitter keeps same-verdict
+  // runs batched while preserving the drop semantics.
   RunEmitter emitter(*this, batch);
   for (std::size_t i = 0; i < emitter.size(); ++i) {
     Packet& p = emitter[i];
@@ -958,12 +893,6 @@ int FlowLB::backend_for(const Packet& p) {
     ++out_flows_[backend];
   }
   return slot->backend;
-}
-
-void FlowLB::push(int, Packet&& p) {
-  int out = backend_for(p);
-  ++out_packets_[static_cast<std::size_t>(out)];
-  output_push(out, std::move(p));
 }
 
 void FlowLB::push_batch(int, PacketBatch&& batch) {
@@ -1113,6 +1042,16 @@ void TcpReassembler::drain_ooo(StreamState& st) {
     duplicate_bytes_ += skip;
     deliver(st, seg.data() + skip, seg.size() - skip);
     st.next_seq += static_cast<std::uint32_t>(seg.size() - skip);
+  }
+}
+
+void TcpReassembler::push_batch(int, PacketBatch&& batch) {
+  // A downstream stream consumer (StreamIDS) scans the pending bytes each
+  // packet appends, so a packet must reach it before the next one is
+  // reassembled: emit packet by packet, exactly as for batches of one.
+  for (Packet& p : batch) {
+    const Verdict v = process(p);
+    if (v.keep) output_push_batch(v.out_port, PacketBatch::of(std::move(p)));
   }
 }
 

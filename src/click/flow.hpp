@@ -10,8 +10,8 @@
 //     (tuple, timestamps, packet/byte counters) followed by scratch
 //     space that downstream elements reserve at initialize() time --
 //     the per-element FCB offsets of fastclick's ctx subsystem.
-//   * While FlowManager pushes a packet (or a same-flow run of a batch)
-//     downstream, the flow context is published through a thread-local
+//   * While FlowManager pushes a same-flow run of a batch downstream,
+//     the flow context is published through a thread-local
 //     (current_flow()). The push path is synchronous within one shard,
 //     and every router is owned by exactly one shard of the PR-6
 //     engine, so the context never crosses threads and flow tables
@@ -216,7 +216,7 @@ class FlowScope {
 /// true (or after `write hold 1`) every arriving packet is buffered
 /// instead of pushed, so a freshly deployed instance can receive
 /// imported flow state before it processes its first packet; `write
-/// hold 0` flushes the buffer FIFO through the normal push path.
+/// hold 0` flushes the buffer in arrival order through push_batch.
 /// export_state()/import_state() serialize the flow table plus the
 /// per-flow scratch of every downstream element that registered a
 /// FlowCodec (NAT port maps, LB stickiness, TCP reassembly buffers).
@@ -226,7 +226,6 @@ class FlowManager : public Element {
   std::string_view class_name() const override { return "FlowManager"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
   // --- client API (downstream stateful elements) ---------------------------
@@ -280,7 +279,7 @@ class FlowManager : public Element {
   Result<std::size_t> import_state(const std::string& text);
 
   /// Starts/stops buffering arriving packets; stopping flushes the held
-  /// packets FIFO through the normal push path.
+  /// packets as one batch, in arrival order, through push_batch.
   void set_hold(bool hold);
   bool holding() const { return holding_; }
   std::size_t held() const { return held_.size(); }
@@ -290,7 +289,6 @@ class FlowManager : public Element {
   /// Pushes one same-flow run [i, j) of `batch` downstream on `out`.
   void emit_run(PacketBatch& batch, std::size_t i, std::size_t j, int out, FlowCtx* ctx);
   void hold_packet(Packet&& p);
-  void classify_push(Packet&& p);
 
   FlowStateTable table_;
   SimDuration idle_timeout_;
@@ -302,7 +300,7 @@ class FlowManager : public Element {
   std::uint64_t non_ip_ = 0;
   std::uint64_t full_drops_ = 0;
   bool holding_ = false;
-  std::deque<Packet> held_;
+  PacketBatch held_;  // arrival order
   std::size_t hold_cap_ = 65536;  // packets
   std::uint64_t hold_drops_ = 0;
   std::vector<FlowCodec> codecs_;
@@ -325,7 +323,6 @@ class FlowNAT : public Element {
   std::string_view class_name() const override { return "FlowNAT"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
   std::size_t active_mappings() const { return reverse_.size(); }
@@ -385,7 +382,6 @@ class FlowLB : public Element {
   std::string_view class_name() const override { return "FlowLB"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
-  void push(int port, Packet&& p) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -426,6 +422,7 @@ class TcpReassembler : public SimpleElement {
   std::string_view class_name() const override { return "TcpReassembler"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
+  void push_batch(int port, PacketBatch&& batch) override;
 
   /// Pending bytes of the flow `block` (empty if none).
   Pending pending_of(std::uint8_t* block);

@@ -1,11 +1,12 @@
 // PacketBatch: a small contiguous run of packets moved through the data
-// plane as one unit. Batching amortizes the per-packet virtual dispatch
-// and scheduler cost of every hop (Click elements, emulated links,
-// OpenFlow switches) without changing what each packet experiences: a
-// batch is only ever a *window* onto the same packet sequence the scalar
-// path would produce, so delivery order, annotations and timestamps are
-// identical in both modes (the determinism guarantee documented in
-// DESIGN.md "Batched data plane").
+// plane as one unit, and the only unit a push hop accepts (Click
+// elements, netemu nodes, OpenFlow switches). Batching amortizes the
+// per-packet virtual dispatch and scheduler cost of every hop without
+// changing what each packet experiences: a batch is only ever a *window*
+// onto a packet sequence, and any decomposition of that sequence into
+// batches gives the same delivery order, annotations and timestamps as
+// batches of one (the determinism guarantee documented in DESIGN.md
+// "Batched data plane").
 //
 // Batches are move-only; duplicating the packets of a batch (Tee-style
 // fan-out) must go through clone(), which counts every deep copy in
@@ -33,7 +34,8 @@ class PacketBatch {
   PacketBatch(const PacketBatch&) = delete;
   PacketBatch& operator=(const PacketBatch&) = delete;
 
-  /// A batch of one (bridges scalar call sites into batch APIs).
+  /// A batch of one: how a single packet enters a push hop (a source's
+  /// lone packet, a Delay release, FromDevice::inject).
   static PacketBatch of(Packet&& p) {
     PacketBatch b(1);
     b.push_back(std::move(p));

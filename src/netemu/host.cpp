@@ -15,6 +15,10 @@ Host::Host(std::string name, EventScheduler& scheduler, net::MacAddr mac, net::I
   m_latency_us_ = &registry.histogram("escape_host_latency_us", labels);
 }
 
+void Host::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
+  for (auto& p : batch) deliver(port, std::move(p));
+}
+
 void Host::deliver(std::uint16_t, net::Packet&& packet) {
   // Protocol reflexes of a "standard tools" host: answer ARP requests
   // for our IP and reply to ICMP echo requests (so ping works through a

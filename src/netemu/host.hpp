@@ -21,7 +21,11 @@ class Host : public Node {
   net::MacAddr mac() const { return mac_; }
   net::Ipv4Addr ip() const { return ip_; }
 
-  void deliver(std::uint16_t port, net::Packet&& packet) override;
+  void deliver_batch(std::uint16_t port, net::PacketBatch&& batch) override;
+
+  /// Receives one frame: the per-frame body of deliver_batch, public so
+  /// endpoint cost can be measured without a link.
+  void deliver(std::uint16_t port, net::Packet&& packet);
 
   /// Sends a raw frame out of port 0 (hosts are single-homed).
   void send(net::Packet&& packet);

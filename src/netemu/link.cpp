@@ -163,12 +163,6 @@ void Link::transmit(int from_endpoint, net::Packet&& packet) {
   arm(from_endpoint);
 }
 
-void Link::transmit_batch(int from_endpoint, net::PacketBatch&& batch) {
-  Direction& dir = dir_[from_endpoint];
-  for (auto& p : batch) enqueue_frame(dir, std::move(p));
-  arm(from_endpoint);
-}
-
 void Link::arm(int from_endpoint) {
   Direction& dir = dir_[from_endpoint];
   if (dir.pending.empty() || dir.event.pending()) return;

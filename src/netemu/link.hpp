@@ -53,11 +53,6 @@ class Link {
   /// (0 = a-side, 1 = b-side) toward the other side.
   void transmit(int from_endpoint, net::Packet&& packet);
 
-  /// Burst transmit: enqueues every frame with the same admission and
-  /// serialization rules as per-packet transmit, arming the delivery
-  /// event once.
-  void transmit_batch(int from_endpoint, net::PacketBatch&& batch);
-
   const LinkConfig& config() const { return config_; }
   Node* node(int endpoint) const { return endpoint == 0 ? node_a_ : node_b_; }
   std::uint16_t port(int endpoint) const { return endpoint == 0 ? port_a_ : port_b_; }

@@ -44,13 +44,11 @@ class Node {
     on_rebind();
   }
 
-  /// A frame arrives on `port` (called by the attached Link).
-  virtual void deliver(std::uint16_t port, net::Packet&& packet) = 0;
-
-  /// A burst of frames arrives on `port` in delivery order. Default:
-  /// per-frame deliver loop; switch/container nodes override to keep the
-  /// burst intact through their data path.
-  virtual void deliver_batch(std::uint16_t port, net::PacketBatch&& batch);
+  /// Frames arrive on `port` in delivery order (called by the attached
+  /// Link). The only way a frame enters a node: a single frame is a
+  /// batch of one. Receivers consume the packets in place, so the
+  /// batch's storage normally stays with the caller for reuse.
+  virtual void deliver_batch(std::uint16_t port, net::PacketBatch&& batch) = 0;
 
   /// Attaches a link endpoint to `port`; at most one link per port.
   Status attach_link(std::uint16_t port, Link* link, int endpoint);
@@ -66,9 +64,6 @@ class Node {
   /// Sends a frame out of `port` into the attached link (dropped if no
   /// link is attached).
   void send_out(std::uint16_t port, net::Packet&& packet);
-
-  /// Sends a burst out of `port` with one link call.
-  void send_out_batch(std::uint16_t port, net::PacketBatch&& batch);
 
  private:
   struct Attachment {

@@ -16,10 +16,6 @@ void SwitchNode::ensure_port(std::uint16_t port) {
                      [this, port](net::Packet&& packet) { send_out(port, std::move(packet)); });
 }
 
-void SwitchNode::deliver(std::uint16_t port, net::Packet&& packet) {
-  datapath_.receive(port, std::move(packet));
-}
-
 void SwitchNode::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
   datapath_.receive_batch(port, std::move(batch));
 }

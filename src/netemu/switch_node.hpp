@@ -18,7 +18,6 @@ class SwitchNode : public Node {
   openflow::OpenFlowSwitch& datapath() { return datapath_; }
   openflow::DatapathId dpid() const { return datapath_.datapath_id(); }
 
-  void deliver(std::uint16_t port, net::Packet&& packet) override;
   void deliver_batch(std::uint16_t port, net::PacketBatch&& batch) override;
 
   /// Declares a datapath port backed by node port `port`. Must be called

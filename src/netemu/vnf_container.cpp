@@ -205,14 +205,6 @@ Status VnfContainer::disconnect_vnf(const std::string& vnf_id, const std::string
   return ok_status();
 }
 
-void VnfContainer::deliver(std::uint16_t port, net::Packet&& packet) {
-  if (!alive_) return;  // crashed containers eat frames
-  auto it = port_rx_.find(port);
-  if (it == port_rx_.end()) return;  // no running VNF on this port
-  packet.set_in_port(port);
-  it->second.second->inject(std::move(packet));
-}
-
 void VnfContainer::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
   if (!alive_) return;  // crashed containers eat frames
   auto it = port_rx_.find(port);

@@ -177,28 +177,6 @@ void OpenFlowSwitch::record_buffer_release(std::uint32_t buffer_id) {
   buffer_sent_at_.erase(it);
 }
 
-void OpenFlowSwitch::receive(std::uint16_t port_no, net::Packet&& packet) {
-  auto pit = ports_.find(port_no);
-  if (pit == ports_.end()) return;
-  pit->second.stats.rx_packets++;
-  pit->second.stats.rx_bytes += packet.size();
-  packet.set_in_port(port_no);  // remembered by buffered packets
-
-  auto key = net::extract_flow_key(packet, port_no);
-  if (!key) {
-    pit->second.stats.rx_dropped++;
-    return;
-  }
-  FlowEntry* entry = table_.lookup(*key, packet.size(), scheduler_->now());
-  if (entry) {
-    m_table_hits_->add();
-    apply_actions(entry->actions, std::move(packet), port_no, /*allow_packet_in=*/true);
-  } else {
-    m_table_misses_->add();
-    handle_table_miss(std::move(packet), port_no, *key);
-  }
-}
-
 void OpenFlowSwitch::receive_batch(std::uint16_t port_no, net::PacketBatch&& batch) {
   auto pit = ports_.find(port_no);
   if (pit == ports_.end()) return;

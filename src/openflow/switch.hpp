@@ -92,13 +92,11 @@ class OpenFlowSwitch {
   /// so the controller can detect the restart and resync.
   void restart();
 
-  /// Datapath entry: a frame arrives on `port_no`.
-  void receive(std::uint16_t port_no, net::Packet&& packet);
-
-  /// Burst entry: frames arriving back-to-back on one port. The table
-  /// lookup runs once per flow run (consecutive packets with the same
-  /// flow key reuse the previous entry and its actions, with counters
-  /// updated as if looked up per packet).
+  /// Datapath entry: frames arriving back-to-back on one port (a single
+  /// frame is a batch of one). The table lookup runs once per flow run
+  /// (consecutive packets with the same flow key reuse the previous
+  /// entry and its actions, with counters updated as if looked up per
+  /// packet).
   void receive_batch(std::uint16_t port_no, net::PacketBatch&& batch);
 
   /// Control messages arriving from the controller.

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "orchestrator/autoscaler.hpp"
+#include "support/push_one.hpp"
 
 namespace escape {
 namespace {
@@ -31,6 +32,7 @@ using click::build_router;
 using net::Ipv4Addr;
 using net::MacAddr;
 using net::Packet;
+using escape::testing::push_one;
 
 Packet udp_packet(std::uint16_t sport, std::uint16_t dport = 7777,
                   Ipv4Addr src = Ipv4Addr(10, 0, 0, 5), Ipv4Addr dst = Ipv4Addr(8, 8, 8, 8)) {
@@ -84,8 +86,8 @@ TEST(FlowStateHandoff, NatMappingsSurviveExportImport) {
   Collector out_a;
   out_a.attach(**a, "tout");
   auto* from_a = dynamic_cast<FromDevice*>((*a)->element("fin"));
-  from_a->inject(udp_packet(5000));
-  from_a->inject(udp_packet(5000));
+  push_one(from_a, udp_packet(5000));
+  push_one(from_a, udp_packet(5000));
   ASSERT_EQ(out_a.packets.size(), 2u);
   const auto key_a = net::extract_flow_key(out_a.packets[0], 0);
   ASSERT_TRUE(key_a.has_value());
@@ -109,7 +111,7 @@ TEST(FlowStateHandoff, NatMappingsSurviveExportImport) {
   EXPECT_EQ(*imported, 1u);
 
   auto* from_b = dynamic_cast<FromDevice*>((*b)->element("fin"));
-  from_b->inject(udp_packet(5000));
+  push_one(from_b, udp_packet(5000));
   ASSERT_EQ(out_b.packets.size(), 1u);
   const auto key_b = net::extract_flow_key(out_b.packets[0], 0);
   ASSERT_TRUE(key_b.has_value());
@@ -130,8 +132,8 @@ TEST(FlowStateHandoff, IdsDetectsSignatureSplitAcrossMigration) {
   auto a = build_router(kIds, sched_a);
   ASSERT_TRUE(a.ok()) << a.error().to_string();
   auto* from_a = dynamic_cast<FromDevice*>((*a)->element("from"));
-  from_a->inject(tcp_packet(1000, /*SYN*/ 0x02, ""));
-  from_a->inject(tcp_packet(1001, /*ACK*/ 0x10, "some att"));
+  push_one(from_a, tcp_packet(1000, /*SYN*/ 0x02, ""));
+  push_one(from_a, tcp_packet(1001, /*ACK*/ 0x10, "some att"));
   EXPECT_EQ((*a)->call_read("ids.alerts").value(), "0");
 
   // Migrate the half-scanned stream to a new instance mid-signature.
@@ -145,7 +147,7 @@ TEST(FlowStateHandoff, IdsDetectsSignatureSplitAcrossMigration) {
   ASSERT_TRUE(st.ok()) << st.error().to_string();
 
   auto* from_b = dynamic_cast<FromDevice*>((*b)->element("from"));
-  from_b->inject(tcp_packet(1009, 0x10, "ack here"));
+  push_one(from_b, tcp_packet(1009, 0x10, "ack here"));
   EXPECT_EQ((*b)->call_read("ids.alerts").value(), "1")
       << "cross-packet signature lost across migration";
   EXPECT_EQ((*b)->call_read("ra.resets").ok()
@@ -172,8 +174,8 @@ TEST(FlowStateHandoff, LbStickinessSurvivesExportImport) {
   a1.attach(**r1, "a");
   b1.attach(**r1, "b");
   auto* from1 = dynamic_cast<FromDevice*>((*r1)->element("from"));
-  from1->inject(udp_packet(6000));
-  from1->inject(udp_packet(6001));  // round-robin: lands on the other backend
+  push_one(from1, udp_packet(6000));
+  push_one(from1, udp_packet(6001));  // round-robin: lands on the other backend
   ASSERT_EQ(a1.packets.size(), 1u);
   ASSERT_EQ(b1.packets.size(), 1u);
 
@@ -190,8 +192,8 @@ TEST(FlowStateHandoff, LbStickinessSurvivesExportImport) {
   ASSERT_TRUE(st.ok()) << st.error().to_string();
 
   auto* from2 = dynamic_cast<FromDevice*>((*r2)->element("from"));
-  from2->inject(udp_packet(6000));
-  from2->inject(udp_packet(6001));
+  push_one(from2, udp_packet(6000));
+  push_one(from2, udp_packet(6001));
   // Both flows stay pinned to their pre-migration backends: with fresh
   // round-robin state both would have landed on backend 0 first.
   EXPECT_EQ(a2.packets.size(), 1u);
@@ -211,7 +213,7 @@ TEST(FlowStateHandoff, HoldBuffersThenFlushesInArrivalOrder) {
   Collector sink;
   sink.attach(**router, "out");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
-  for (std::uint16_t i = 0; i < 5; ++i) from->inject(udp_packet(7000 + i));
+  for (std::uint16_t i = 0; i < 5; ++i) push_one(from, udp_packet(7000 + i));
   EXPECT_TRUE(sink.packets.empty());
   EXPECT_EQ((*router)->call_read("fm.held").value(), "5");
 

@@ -7,6 +7,7 @@
 #include "click/config.hpp"
 #include "click/elements.hpp"
 #include "net/builder.hpp"
+#include "support/push_one.hpp"
 #include "util/strings.hpp"
 
 namespace escape::click {
@@ -14,6 +15,7 @@ namespace {
 
 using net::Ipv4Addr;
 using net::MacAddr;
+using escape::testing::push_one;
 
 Packet test_packet(std::uint16_t dport = 2000, std::size_t size = 98) {
   return net::make_udp_packet(MacAddr::from_u64(1), MacAddr::from_u64(2),
@@ -188,7 +190,7 @@ TEST(Elements, QueueTailDropsAndHandlers) {
   auto router = build_router("q :: Queue(CAPACITY 5);", sched);
   ASSERT_TRUE(router.ok());
   auto* q = dynamic_cast<Queue*>((*router)->element("q"));
-  for (int i = 0; i < 8; ++i) q->push(0, test_packet());
+  for (int i = 0; i < 8; ++i) push_one(q, 0, test_packet());
   EXPECT_EQ(q->length(), 5u);
   EXPECT_EQ(q->drops(), 3u);
   EXPECT_EQ((*router)->call_read("q.length").value(), "5");
@@ -239,7 +241,7 @@ TEST(Elements, TeeDuplicates) {
     t[0] -> a -> Discard; t[1] -> b -> Discard; t[2] -> c -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  (*router)->element("t")->push(0, test_packet());
+  push_one((*router)->element("t"), 0, test_packet());
   for (const char* name : {"a.count", "b.count", "c.count"}) {
     EXPECT_EQ((*router)->call_read(name).value(), "1");
   }
@@ -254,15 +256,15 @@ TEST(Elements, SwitchRoutesAndRetargets) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* sw = (*router)->element("s");
-  sw->push(0, test_packet());
+  push_one(sw, 0, test_packet());
   ASSERT_TRUE((*router)->call_write("s.switch", "1").ok());
-  sw->push(0, test_packet());
-  sw->push(0, test_packet());
+  push_one(sw, 0, test_packet());
+  push_one(sw, 0, test_packet());
   EXPECT_EQ((*router)->call_read("a.count").value(), "1");
   EXPECT_EQ((*router)->call_read("b.count").value(), "2");
   // -1 drops.
   ASSERT_TRUE((*router)->call_write("s.switch", "-1").ok());
-  sw->push(0, test_packet());
+  push_one(sw, 0, test_packet());
   EXPECT_EQ((*router)->call_read("b.count").value(), "2");
   // Out-of-range rejected.
   EXPECT_FALSE((*router)->call_write("s.switch", "7").ok());
@@ -276,7 +278,7 @@ TEST(Elements, RoundRobinSwitchBalances) {
     rr[0] -> a -> Discard; rr[1] -> b -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  for (int i = 0; i < 10; ++i) (*router)->element("rr")->push(0, test_packet());
+  for (int i = 0; i < 10; ++i) push_one((*router)->element("rr"), 0, test_packet());
   EXPECT_EQ((*router)->call_read("a.count").value(), "5");
   EXPECT_EQ((*router)->call_read("b.count").value(), "5");
 }
@@ -291,7 +293,7 @@ TEST(Elements, PaintAndPaintSwitchAndCheckPaint) {
     ps[0] -> z -> Discard; ps[1] -> one -> Discard; ps[2] -> two -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  (*router)->element("p")->push(0, test_packet());
+  push_one((*router)->element("p"), 0, test_packet());
   EXPECT_EQ((*router)->call_read("two.count").value(), "1");
   EXPECT_EQ((*router)->call_read("z.count").value(), "0");
 }
@@ -305,18 +307,18 @@ TEST(Elements, ClassifierByEthertype) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* cl = (*router)->element("cl");
-  cl->push(0, test_packet());  // IPv4
+  push_one(cl, 0, test_packet());  // IPv4
   Packet arp_packet = net::PacketBuilder()
                           .eth(MacAddr::from_u64(1), MacAddr::broadcast(), net::ethertype::kArp)
                           .arp(net::ArpView::kRequest, MacAddr::from_u64(1),
                                Ipv4Addr(10, 0, 0, 1), MacAddr(), Ipv4Addr(10, 0, 0, 2))
                           .build();
-  cl->push(0, std::move(arp_packet));
+  push_one(cl, 0, std::move(arp_packet));
   Packet weird = net::PacketBuilder()
                      .eth(MacAddr::from_u64(1), MacAddr::from_u64(2), 0x1234)
                      .payload(std::string_view("x"))
                      .build();
-  cl->push(0, std::move(weird));
+  push_one(cl, 0, std::move(weird));
   EXPECT_EQ((*router)->call_read("ip.count").value(), "1");
   EXPECT_EQ((*router)->call_read("arp.count").value(), "1");
   EXPECT_EQ((*router)->call_read("other.count").value(), "1");
@@ -331,8 +333,8 @@ TEST(Elements, IPClassifierFirstMatchWins) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* cl = (*router)->element("cl");
-  cl->push(0, test_packet(53));
-  cl->push(0, test_packet(99));
+  push_one(cl, 0, test_packet(53));
+  push_one(cl, 0, test_packet(99));
   EXPECT_EQ((*router)->call_read("dns.count").value(), "1");
   EXPECT_EQ((*router)->call_read("udp.count").value(), "1");
   EXPECT_EQ((*router)->call_read("rest.count").value(), "0");
@@ -347,10 +349,10 @@ TEST(Elements, CheckIPHeaderSplitsGoodAndBad) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* chk = (*router)->element("chk");
-  chk->push(0, test_packet());
+  push_one(chk, 0, test_packet());
   Packet corrupted = test_packet();
   corrupted.mutable_bytes()[net::EthernetView::kSize + 10] ^= 0xff;  // break checksum
-  chk->push(0, std::move(corrupted));
+  push_one(chk, 0, std::move(corrupted));
   EXPECT_EQ((*router)->call_read("good.count").value(), "1");
   EXPECT_EQ((*router)->call_read("bad.count").value(), "1");
   EXPECT_EQ((*router)->call_read("chk.drops").value(), "1");
@@ -370,13 +372,13 @@ TEST(Elements, DecIPTTLExpiry) {
                        /*ttl=*/1)
                  .udp(1, 2)
                  .build();
-  (*router)->element("dec")->push(0, std::move(p));  // ttl 1 -> 0, ok
+  push_one((*router)->element("dec"), 0, std::move(p));  // ttl 1 -> 0, ok
   Packet dead = net::PacketBuilder()
                     .eth(MacAddr::from_u64(1), MacAddr::from_u64(2))
                     .ipv4(Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2), net::ipproto::kUdp, 0)
                     .udp(1, 2)
                     .build();
-  (*router)->element("dec")->push(0, std::move(dead));
+  push_one((*router)->element("dec"), 0, std::move(dead));
   EXPECT_EQ((*router)->call_read("ok.count").value(), "1");
   EXPECT_EQ((*router)->call_read("exp.count").value(), "1");
 }
@@ -391,7 +393,7 @@ TEST(Elements, IPRewriterRewrites) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Collector sink;
   sink.attach(**router, "out");
-  (*router)->element("rw")->push(0, test_packet());
+  push_one((*router)->element("rw"), 0, test_packet());
   ASSERT_EQ(sink.packets.size(), 1u);
   auto key = net::extract_flow_key(sink.packets[0], 0);
   EXPECT_EQ(key->nw_src, Ipv4Addr(192, 168, 1, 1));
@@ -407,7 +409,7 @@ TEST(Elements, DelayDefersDelivery) {
     d -> cnt -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  (*router)->element("d")->push(0, test_packet());
+  push_one((*router)->element("d"), 0, test_packet());
   sched.run_until(milliseconds(4));
   EXPECT_EQ((*router)->call_read("cnt.count").value(), "0");
   sched.run_until(milliseconds(6));
@@ -422,7 +424,7 @@ TEST(Elements, MeterSplitsConformingAndExcess) {
     m[0] -> ok -> Discard; m[1] -> over -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  for (int i = 0; i < 100; ++i) (*router)->element("m")->push(0, test_packet());
+  for (int i = 0; i < 100; ++i) push_one((*router)->element("m"), 0, test_packet());
   auto ok = *strings::parse_u64((*router)->call_read("ok.count").value());
   auto over = *strings::parse_u64((*router)->call_read("over.count").value());
   EXPECT_EQ(ok + over, 100u);
@@ -438,7 +440,7 @@ TEST(Elements, RandomSampleDropRateCalibrated) {
     rs -> kept -> Discard;
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
-  for (int i = 0; i < 4000; ++i) (*router)->element("rs")->push(0, test_packet());
+  for (int i = 0; i < 4000; ++i) push_one((*router)->element("rs"), 0, test_packet());
   auto kept = *strings::parse_u64((*router)->call_read("kept.count").value());
   EXPECT_NEAR(static_cast<double>(kept) / 4000.0, 0.25, 0.03);
 }
@@ -452,14 +454,14 @@ TEST(Elements, FirewallRulesFirstMatchAndHandlers) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* fw = (*router)->element("fw");
-  fw->push(0, test_packet(53));   // denied by rule 1
-  fw->push(0, test_packet(100));  // allowed by rule 2
+  push_one(fw, 0, test_packet(53));   // denied by rule 1
+  push_one(fw, 0, test_packet(100));  // allowed by rule 2
   Packet arp = net::PacketBuilder()
                    .eth(MacAddr::from_u64(1), MacAddr::broadcast(), net::ethertype::kArp)
                    .arp(net::ArpView::kRequest, MacAddr::from_u64(1), Ipv4Addr(1, 1, 1, 1),
                         MacAddr(), Ipv4Addr(2, 2, 2, 2))
                    .build();
-  fw->push(0, std::move(arp));  // default deny
+  push_one(fw, 0, std::move(arp));  // default deny
   EXPECT_EQ((*router)->call_read("fw.accepted").value(), "1");
   EXPECT_EQ((*router)->call_read("fw.denied").value(), "2");
 
@@ -472,7 +474,7 @@ TEST(Elements, FirewallRulesFirstMatchAndHandlers) {
                     .arp(net::ArpView::kRequest, MacAddr::from_u64(1), Ipv4Addr(1, 1, 1, 1),
                          MacAddr(), Ipv4Addr(2, 2, 2, 2))
                     .build();
-  fw->push(0, std::move(arp2));
+  push_one(fw, 0, std::move(arp2));
   EXPECT_EQ((*router)->call_read("fw.accepted").value(), "2");
 }
 
@@ -491,7 +493,7 @@ TEST(Elements, NaptTranslatesAndReverses) {
   Element* n = (*router)->element("n");
 
   // Outbound: 10.0.0.1:1000 -> rewritten to 203.0.113.1:40000.
-  n->push(0, test_packet());
+  push_one(n, 0, test_packet());
   ASSERT_EQ(ext.packets.size(), 1u);
   auto out_key = net::extract_flow_key(ext.packets[0], 0);
   EXPECT_EQ(out_key->nw_src, Ipv4Addr(203, 0, 113, 1));
@@ -501,7 +503,7 @@ TEST(Elements, NaptTranslatesAndReverses) {
   Packet back = net::make_udp_packet(MacAddr::from_u64(2), MacAddr::from_u64(1),
                                      Ipv4Addr(10, 0, 0, 2), Ipv4Addr(203, 0, 113, 1), 2000,
                                      40000);
-  n->push(1, std::move(back));
+  push_one(n, 1, std::move(back));
   ASSERT_EQ(internal.packets.size(), 1u);
   auto in_key = net::extract_flow_key(internal.packets[0], 0);
   EXPECT_EQ(in_key->nw_dst, Ipv4Addr(10, 0, 0, 1));
@@ -511,14 +513,55 @@ TEST(Elements, NaptTranslatesAndReverses) {
   Packet stray = net::make_udp_packet(MacAddr::from_u64(2), MacAddr::from_u64(1),
                                       Ipv4Addr(10, 0, 0, 2), Ipv4Addr(203, 0, 113, 1), 2000,
                                       49999);
-  n->push(1, std::move(stray));
+  push_one(n, 1, std::move(stray));
   EXPECT_EQ(internal.packets.size(), 1u);
   EXPECT_EQ((*router)->call_read("n.dropped").value(), "1");
   EXPECT_EQ((*router)->call_read("n.mappings").value(), "1");
 
   // Same internal flow reuses its mapping.
-  n->push(0, test_packet());
+  push_one(n, 0, test_packet());
   EXPECT_EQ((*router)->call_read("n.mappings").value(), "1");
+}
+
+TEST(Elements, NaptRefusesNewFlowsOncePortRangeIsUsedUp) {
+  EventScheduler sched;
+  auto router = build_router(R"(
+    n :: NAPT(EXTERNAL_IP 203.0.113.1, PORT_BASE 65534);
+    oext :: ToDevice(DEVNAME out0);
+    oint :: ToDevice(DEVNAME out1);
+    n[0] -> oext; n[1] -> oint;
+  )", sched);
+  ASSERT_TRUE(router.ok()) << router.error().to_string();
+  Collector ext, internal;
+  ext.attach(**router, "oext");
+  internal.attach(**router, "oint");
+  Element* n = (*router)->element("n");
+  auto flow = [](std::uint16_t sport) {
+    return net::make_udp_packet(MacAddr::from_u64(1), MacAddr::from_u64(2),
+                                Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2), sport, 2000);
+  };
+
+  // Two ports left in [65534, 65535]: the third flow must not wrap to 0.
+  push_one(n, 0, flow(1000));
+  push_one(n, 0, flow(1001));
+  push_one(n, 0, flow(1002));
+  ASSERT_EQ(ext.packets.size(), 2u);
+  EXPECT_EQ(net::extract_flow_key(ext.packets[0], 0)->tp_src, 65534);
+  EXPECT_EQ(net::extract_flow_key(ext.packets[1], 0)->tp_src, 65535);
+  EXPECT_EQ((*router)->call_read("n.mappings").value(), "2");
+  EXPECT_EQ((*router)->call_read("n.exhausted").value(), "1");
+  EXPECT_EQ((*router)->call_read("n.dropped").value(), "1");
+
+  // Mapped flows keep their ports, and return traffic still reaches the
+  // flow that owns the port.
+  push_one(n, 0, flow(1000));
+  ASSERT_EQ(ext.packets.size(), 3u);
+  EXPECT_EQ(net::extract_flow_key(ext.packets[2], 0)->tp_src, 65534);
+  push_one(n, 1, net::make_udp_packet(MacAddr::from_u64(2), MacAddr::from_u64(1),
+                                      Ipv4Addr(10, 0, 0, 2), Ipv4Addr(203, 0, 113, 1), 2000,
+                                      65535));
+  ASSERT_EQ(internal.packets.size(), 1u);
+  EXPECT_EQ(net::extract_flow_key(internal.packets[0], 0)->tp_dst, 1001);
 }
 
 TEST(Elements, LoadBalancerFlowAffinity) {
@@ -531,12 +574,12 @@ TEST(Elements, LoadBalancerFlowAffinity) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* lb = (*router)->element("lb");
   // Same flow -> same output every time.
-  for (int i = 0; i < 10; ++i) lb->push(0, test_packet(1111));
+  for (int i = 0; i < 10; ++i) push_one(lb, 0, test_packet(1111));
   auto a = *strings::parse_u64((*router)->call_read("a.count").value());
   auto b = *strings::parse_u64((*router)->call_read("b.count").value());
   EXPECT_TRUE((a == 10 && b == 0) || (a == 0 && b == 10));
   // Many flows spread across outputs.
-  for (std::uint16_t port = 1; port <= 200; ++port) lb->push(0, test_packet(port));
+  for (std::uint16_t port = 1; port <= 200; ++port) push_one(lb, 0, test_packet(port));
   a = *strings::parse_u64((*router)->call_read("a.count").value());
   b = *strings::parse_u64((*router)->call_read("b.count").value());
   EXPECT_GT(a, 50u);
@@ -557,8 +600,8 @@ TEST(Elements, DpiCounterFindsPatterns) {
                     .udp(1, 2)
                     .payload(std::string_view("launch attack now"))
                     .build();
-  dpi->push(0, std::move(evil));
-  dpi->push(0, test_packet());
+  push_one(dpi, 0, std::move(evil));
+  push_one(dpi, 0, test_packet());
   EXPECT_EQ((*router)->call_read("dpi.matches_0").value(), "1");
   EXPECT_EQ((*router)->call_read("dpi.matches_1").value(), "0");
   EXPECT_EQ((*router)->call_read("dpi.total").value(), "2");
@@ -577,11 +620,11 @@ TEST(Elements, FromDeviceToDeviceBridge) {
   EXPECT_EQ(from->devname(), "in0");
   EXPECT_EQ(to->devname(), "out0");
   // Without a sink, packets are counted as drops.
-  from->inject(test_packet());
+  push_one(from, test_packet());
   EXPECT_EQ((*router)->call_read("to.no_sink_drops").value(), "1");
   int delivered = 0;
   to->set_sink([&](Packet&&) { ++delivered; });
-  from->inject(test_packet());
+  push_one(from, test_packet());
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ((*router)->call_read("from.count").value(), "2");
 }
@@ -675,8 +718,8 @@ TEST(Compounds, MultiplePortsAndInstances) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   Element* in = (*router)->element("a/cl");
   ASSERT_NE(in, nullptr);
-  in->push(0, test_packet(53));
-  in->push(0, test_packet(99));
+  push_one(in, 0, test_packet(53));
+  push_one(in, 0, test_packet(99));
   EXPECT_EQ((*router)->call_read("dns.count").value(), "1");
   EXPECT_EQ((*router)->call_read("rest.count").value(), "1");
 }
@@ -762,10 +805,10 @@ TEST(Elements, RoundRobinSchedInterleavesQueues) {
   for (int i = 0; i < 4; ++i) {
     Packet a = test_packet();
     a.set_paint(1);
-    qa->push(0, std::move(a));
+    push_one(qa, 0, std::move(a));
     Packet b = test_packet();
     b.set_paint(2);
-    qb->push(0, std::move(b));
+    push_one(qb, 0, std::move(b));
   }
   sched.run();
   ASSERT_EQ(sink.packets.size(), 8u);
@@ -787,7 +830,7 @@ TEST(Elements, RoundRobinSchedSkipsEmptyInputs) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   auto* qb = dynamic_cast<Queue*>((*router)->element("qb"));
-  for (int i = 0; i < 5; ++i) qb->push(0, test_packet());
+  for (int i = 0; i < 5; ++i) push_one(qb, 0, test_packet());
   sched.run();
   EXPECT_EQ((*router)->call_read("cnt.count").value(), "5");
 }
@@ -810,10 +853,10 @@ TEST(Elements, PrioSchedStrictPriority) {
   for (int i = 0; i < 3; ++i) {
     Packet h = test_packet();
     h.set_paint(1);
-    hi->push(0, std::move(h));
+    push_one(hi, 0, std::move(h));
     Packet l = test_packet();
     l.set_paint(2);
-    lo->push(0, std::move(l));
+    push_one(lo, 0, std::move(l));
   }
   sched.run();
   ASSERT_EQ(sink.packets.size(), 6u);
@@ -838,7 +881,7 @@ TEST(Elements, DrainTaskWakesThroughScheduler) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   sched.run();  // drain task goes idle (everything empty)
   auto* q = dynamic_cast<Queue*>((*router)->element("q"));
-  q->push(0, test_packet());  // must wake the task through the scheduler
+  push_one(q, 0, test_packet());  // must wake the task through the scheduler
   sched.run();
   EXPECT_EQ((*router)->call_read("cnt.count").value(), "1");
 }

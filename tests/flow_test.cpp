@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/switch.hpp"
+#include "support/push_one.hpp"
 #include "util/strings.hpp"
 
 namespace escape {
@@ -32,6 +33,7 @@ using net::Ipv4Addr;
 using net::MacAddr;
 using net::Packet;
 using net::PacketBatch;
+using escape::testing::push_one;
 
 FlowTuple tuple(std::uint32_t n, std::uint16_t sport = 1000, std::uint16_t dport = 2000) {
   FlowTuple t;
@@ -200,12 +202,12 @@ TEST(FlowManagerElement, ClassifiesFlowsAndCounts) {
   sink.attach(**router, "out");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  for (int i = 0; i < 3; ++i) from->inject(udp_packet(1111));
-  for (int i = 0; i < 2; ++i) from->inject(udp_packet(2222));
+  for (int i = 0; i < 3; ++i) push_one(from, udp_packet(1111));
+  for (int i = 0; i < 2; ++i) push_one(from, udp_packet(2222));
   // Non-IPv4 passes through unclassified.
   net::PacketBuilder arp;
   arp.eth(MacAddr::from_u64(1), MacAddr::from_u64(2), net::ethertype::kArp);
-  from->inject(arp.build());
+  push_one(from, arp.build());
 
   EXPECT_EQ(sink.packets.size(), 6u);
   EXPECT_EQ((*router)->call_read("fm.flows").value(), "2");
@@ -231,7 +233,7 @@ TEST(FlowManagerElement, BatchRunsMatchScalarCounters) {
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
   // Two same-flow runs split by one packet of another flow: 3 lookups
-  // into the table, but per-packet counters identical to the scalar path.
+  // into the table, but per-packet counters identical to batches of one.
   PacketBatch batch(5);
   batch.push_back(udp_packet(1111));
   batch.push_back(udp_packet(1111));
@@ -264,12 +266,12 @@ TEST(FlowManagerElement, IdleTimeoutEvictsUnderVirtualTime) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(udp_packet(1111));
-  from->inject(udp_packet(2222));
+  push_one(from, udp_packet(1111));
+  push_one(from, udp_packet(2222));
   EXPECT_EQ((*router)->call_read("fm.flows").value(), "2");
 
   sched.run_until(milliseconds(30));
-  from->inject(udp_packet(1111));  // refresh flow A at t=30ms
+  push_one(from, udp_packet(1111));  // refresh flow A at t=30ms
 
   // At the t=50ms sweep flow B is 50 ms idle and goes; A is 20 ms idle.
   sched.run_until(milliseconds(70));
@@ -298,10 +300,10 @@ TEST(FlowManagerElement, FullTableOverflowsToPortOne) {
   overflow.attach(**router, "ovf");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(udp_packet(1111));
-  from->inject(udp_packet(2222));
-  from->inject(udp_packet(3333));  // table full: overflow path
-  from->inject(udp_packet(1111));  // established flows keep flowing
+  push_one(from, udp_packet(1111));
+  push_one(from, udp_packet(2222));
+  push_one(from, udp_packet(3333));  // table full: overflow path
+  push_one(from, udp_packet(1111));  // established flows keep flowing
 
   EXPECT_EQ(sink.packets.size(), 3u);
   ASSERT_EQ(overflow.packets.size(), 1u);
@@ -337,7 +339,7 @@ TEST(FlowNatElement, TranslatesBidirectionally) {
   auto* fext = dynamic_cast<FromDevice*>((*router)->element("fext"));
 
   // Outbound: source rewritten to the external ip and an allocated port.
-  fin->inject(udp_packet(1234, 80, Ipv4Addr(10, 0, 0, 5), Ipv4Addr(8, 8, 8, 8)));
+  push_one(fin, udp_packet(1234, 80, Ipv4Addr(10, 0, 0, 5), Ipv4Addr(8, 8, 8, 8)));
   ASSERT_EQ(out_ext.packets.size(), 1u);
   auto t = FlowTuple::from_packet(out_ext.packets[0]);
   ASSERT_TRUE(t);
@@ -348,7 +350,7 @@ TEST(FlowNatElement, TranslatesBidirectionally) {
   EXPECT_EQ((*router)->call_read("nat.ports_free").value(), "1");
 
   // Return traffic to the allocated port translates back to the host.
-  fext->inject(udp_packet(80, 20000, Ipv4Addr(8, 8, 8, 8), Ipv4Addr(192, 0, 2, 1)));
+  push_one(fext, udp_packet(80, 20000, Ipv4Addr(8, 8, 8, 8), Ipv4Addr(192, 0, 2, 1)));
   ASSERT_EQ(out_int.packets.size(), 1u);
   auto r = FlowTuple::from_packet(out_int.packets[0]);
   ASSERT_TRUE(r);
@@ -357,9 +359,39 @@ TEST(FlowNatElement, TranslatesBidirectionally) {
   EXPECT_EQ((*router)->call_read("nat.translated").value(), "2");
 
   // Unknown inbound port: nothing to deliver to, dropped.
-  fext->inject(udp_packet(80, 20001, Ipv4Addr(8, 8, 8, 8), Ipv4Addr(192, 0, 2, 1)));
+  push_one(fext, udp_packet(80, 20001, Ipv4Addr(8, 8, 8, 8), Ipv4Addr(192, 0, 2, 1)));
   EXPECT_EQ(out_int.packets.size(), 1u);
   EXPECT_EQ((*router)->call_read("nat.dropped").value(), "1");
+}
+
+TEST(FlowNatElement, PortBaseMustBeOneTo65535) {
+  EventScheduler sched;
+  auto config = [](const std::string& base) {
+    return R"(
+      fin :: FromDevice(DEVNAME in0);
+      fm :: FlowManager;
+      nat :: FlowNAT(EXTERNAL_IP 192.0.2.1, PORT_COUNT 1, PORT_BASE )" +
+           base + R"();
+      tout :: ToDevice(DEVNAME out0);
+      fin -> fm -> [0]nat;
+      nat[0] -> tout;
+    )";
+  };
+  // Out of range: 0 is not a port, and larger values must not wrap.
+  for (const char* base : {"0", "65536", "70000"}) {
+    auto router = build_router(config(base), sched);
+    ASSERT_FALSE(router.ok()) << base;
+    EXPECT_EQ(router.error().code, "click.flownat.config") << base;
+  }
+
+  // The top of the range holds exactly one port, 65535.
+  auto router = build_router(config("65535"), sched);
+  ASSERT_TRUE(router.ok()) << router.error().to_string();
+  Collector out_ext;
+  out_ext.attach(**router, "tout");
+  push_one(dynamic_cast<FromDevice*>((*router)->element("fin")), udp_packet(1111, 80));
+  ASSERT_EQ(out_ext.packets.size(), 1u);
+  EXPECT_EQ(FlowTuple::from_packet(out_ext.packets[0])->src_port, 65535);
 }
 
 TEST(FlowNatElement, PortExhaustionThenIdleEvictionReclaimsPorts) {
@@ -370,15 +402,15 @@ TEST(FlowNatElement, PortExhaustionThenIdleEvictionReclaimsPorts) {
   out_ext.attach(**router, "tout");
   auto* fin = dynamic_cast<FromDevice*>((*router)->element("fin"));
 
-  fin->inject(udp_packet(1111, 80));
-  fin->inject(udp_packet(2222, 80));
+  push_one(fin, udp_packet(1111, 80));
+  push_one(fin, udp_packet(2222, 80));
   EXPECT_EQ((*router)->call_read("nat.ports_free").value(), "0");
   EXPECT_EQ(out_ext.packets.size(), 2u);
 
   // Pool exhausted: the third flow is blocked, and stays blocked on its
   // next packet without counting a second exhaustion.
-  fin->inject(udp_packet(3333, 80));
-  fin->inject(udp_packet(3333, 80));
+  push_one(fin, udp_packet(3333, 80));
+  push_one(fin, udp_packet(3333, 80));
   EXPECT_EQ(out_ext.packets.size(), 2u);
   EXPECT_EQ((*router)->call_read("nat.exhausted").value(), "1");
   EXPECT_EQ((*router)->call_read("nat.dropped").value(), "2");
@@ -390,7 +422,7 @@ TEST(FlowNatElement, PortExhaustionThenIdleEvictionReclaimsPorts) {
   EXPECT_EQ((*router)->call_read("fm.flows").value(), "0");
 
   // A fresh flow reuses a reclaimed port.
-  fin->inject(udp_packet(4444, 80));
+  push_one(fin, udp_packet(4444, 80));
   ASSERT_EQ(out_ext.packets.size(), 3u);
   auto t = FlowTuple::from_packet(out_ext.packets[2]);
   ASSERT_TRUE(t);
@@ -420,11 +452,11 @@ TEST(FlowLbElement, FlowsStickToTheirBackend) {
 
   // Round-robin over flows, not packets: all of flow 1 goes to backend
   // 0, all of flow 2 to backend 1, regardless of interleaving.
-  from->inject(udp_packet(1111));
-  from->inject(udp_packet(2222));
-  from->inject(udp_packet(1111));
-  from->inject(udp_packet(2222));
-  from->inject(udp_packet(1111));
+  push_one(from, udp_packet(1111));
+  push_one(from, udp_packet(2222));
+  push_one(from, udp_packet(1111));
+  push_one(from, udp_packet(2222));
+  push_one(from, udp_packet(1111));
   EXPECT_EQ(a.packets.size(), 3u);
   EXPECT_EQ(b.packets.size(), 2u);
   for (const Packet& p : a.packets) EXPECT_EQ(FlowTuple::from_packet(p)->src_port, 1111);
@@ -458,10 +490,10 @@ TEST(StreamIdsElement, DetectsPatternAcrossPacketBoundary) {
   sink.attach(**router, "out");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(tcp_packet(1000, /*SYN*/ 0x02, ""));
-  from->inject(tcp_packet(1001, /*ACK*/ 0x10, "some att"));
+  push_one(from, tcp_packet(1000, /*SYN*/ 0x02, ""));
+  push_one(from, tcp_packet(1001, /*ACK*/ 0x10, "some att"));
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "0");
-  from->inject(tcp_packet(1009, 0x10, "ack here"));
+  push_one(from, tcp_packet(1009, 0x10, "ack here"));
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
   EXPECT_EQ((*router)->call_read("ids.pattern0_hits").value(), "1");
   EXPECT_EQ((*router)->call_read("ra.reassembled_bytes").value(), "16");
@@ -476,15 +508,15 @@ TEST(StreamIdsElement, OutOfOrderSegmentsReassembleAndMatchOnce) {
   sink.attach(**router, "out");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(tcp_packet(1000, 0x02, ""));
-  from->inject(tcp_packet(1009, 0x10, "ack here"));  // future segment
+  push_one(from, tcp_packet(1000, 0x02, ""));
+  push_one(from, tcp_packet(1009, 0x10, "ack here"));  // future segment
   EXPECT_EQ((*router)->call_read("ra.ooo_segments").value(), "1");
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "0");
-  from->inject(tcp_packet(1001, 0x10, "some att"));  // closes the gap
+  push_one(from, tcp_packet(1001, 0x10, "some att"));  // closes the gap
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
 
   // A full retransmit delivers nothing new: no double-count, no rescan.
-  from->inject(tcp_packet(1001, 0x10, "some att"));
+  push_one(from, tcp_packet(1001, 0x10, "some att"));
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
   EXPECT_EQ((*router)->call_read("ra.duplicate_bytes").value(), "8");
 }
@@ -507,10 +539,10 @@ TEST(StreamIdsElement, DropModeCutsTheFlowAfterAlert) {
   cut.attach(**router, "cut");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(tcp_packet(1000, 0x02, ""));
-  from->inject(tcp_packet(1001, 0x10, "some att"));
-  from->inject(tcp_packet(1009, 0x10, "ack here"));  // completes the match
-  from->inject(tcp_packet(1017, 0x10, "more data"));  // flow already cut
+  push_one(from, tcp_packet(1000, 0x02, ""));
+  push_one(from, tcp_packet(1001, 0x10, "some att"));
+  push_one(from, tcp_packet(1009, 0x10, "ack here"));  // completes the match
+  push_one(from, tcp_packet(1017, 0x10, "more data"));  // flow already cut
   EXPECT_EQ(sink.packets.size(), 2u);  // SYN + the innocent first segment
   EXPECT_EQ(cut.packets.size(), 2u);
   EXPECT_EQ((*router)->call_read("ids.cut_packets").value(), "2");
@@ -528,7 +560,7 @@ TEST(StreamIdsElement, UdpFallsBackToPerPacketScan) {
       .ipv4(Ipv4Addr(10, 0, 0, 5), Ipv4Addr(8, 8, 8, 8))
       .udp(1111, 53)
       .payload(std::string_view("xx attack yy"));
-  from->inject(b.build());
+  push_one(from, b.build());
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
 }
 
@@ -546,13 +578,13 @@ TEST(FlowVerdictCache, FirewallSkipsRuleWalkOnEstablishedFlows) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  for (int i = 0; i < 4; ++i) from->inject(udp_packet(1111));
+  for (int i = 0; i < 4; ++i) push_one(from, udp_packet(1111));
   EXPECT_EQ((*router)->call_read("fw.denied").value(), "4");
   // First packet walks the rules and stores the verdict; the other three
   // are answered from the flow's state block.
   EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "3");
 
-  from->inject(tcp_packet(1000, 0x02, ""));
+  push_one(from, tcp_packet(1000, 0x02, ""));
   EXPECT_EQ((*router)->call_read("fw.accepted").value(), "1");
 }
 
@@ -570,9 +602,9 @@ TEST(FlowVerdictCache, TcpFlagRulesDisableTheCache) {
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  from->inject(tcp_packet(1000, /*SYN*/ 0x02, ""));
-  from->inject(tcp_packet(1001, /*ACK*/ 0x10, "x"));
-  from->inject(tcp_packet(1002, 0x10, "y"));
+  push_one(from, tcp_packet(1000, /*SYN*/ 0x02, ""));
+  push_one(from, tcp_packet(1001, /*ACK*/ 0x10, "x"));
+  push_one(from, tcp_packet(1002, 0x10, "y"));
   EXPECT_EQ((*router)->call_read("fw.denied").value(), "1");
   EXPECT_EQ((*router)->call_read("fw.accepted").value(), "2");
   EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "0");
@@ -588,7 +620,7 @@ TEST(FlowVerdictCache, NoFlowManagerMeansNoCacheButSameVerdicts) {
   )", sched);
   ASSERT_TRUE(router.ok()) << router.error().to_string();
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
-  for (int i = 0; i < 3; ++i) from->inject(udp_packet(1111));
+  for (int i = 0; i < 3; ++i) push_one(from, udp_packet(1111));
   EXPECT_EQ((*router)->call_read("fw.denied").value(), "3");
   EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "0");
 }

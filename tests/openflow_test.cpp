@@ -4,6 +4,7 @@
 
 #include "net/builder.hpp"
 #include "openflow/switch.hpp"
+#include "support/push_one.hpp"
 
 namespace escape::openflow {
 namespace {
@@ -11,6 +12,7 @@ namespace {
 using net::FlowKey;
 using net::Ipv4Addr;
 using net::MacAddr;
+using escape::testing::push_one;
 
 FlowKey udp_key(std::uint16_t in_port = 1, Ipv4Addr src = Ipv4Addr(10, 0, 0, 1),
                 Ipv4Addr dst = Ipv4Addr(10, 0, 0, 2), std::uint16_t tp_dst = 80) {
@@ -311,7 +313,7 @@ TEST_F(SwitchFixture, HandshakeProducesHelloAndFeatures) {
 }
 
 TEST_F(SwitchFixture, TableMissSendsPacketInWithBuffer) {
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   auto ins = channel->of_type<PacketIn>();
   ASSERT_EQ(ins.size(), 1u);
   EXPECT_EQ(ins[0]->in_port, 1);
@@ -325,7 +327,7 @@ TEST_F(SwitchFixture, FlowModThenForwarding) {
   mod.match = Match().in_port(1);
   mod.actions = output_to(2);
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   ASSERT_EQ(tx[2].size(), 1u);
   EXPECT_TRUE(channel->of_type<PacketIn>().empty());
   EXPECT_EQ(sw.port_stats(2).tx_packets, 1u);
@@ -333,7 +335,7 @@ TEST_F(SwitchFixture, FlowModThenForwarding) {
 }
 
 TEST_F(SwitchFixture, FlowModWithBufferReleasesBufferedPacket) {
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   auto ins = channel->of_type<PacketIn>();
   ASSERT_EQ(ins.size(), 1u);
   FlowMod mod;
@@ -357,7 +359,7 @@ TEST_F(SwitchFixture, FloodExcludesIngress) {
   mod.match = Match();
   mod.actions = output_to(kPortFlood);
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   EXPECT_EQ(tx[1].size(), 0u);
   EXPECT_EQ(tx[2].size(), 1u);
   EXPECT_EQ(tx[3].size(), 1u);
@@ -368,7 +370,7 @@ TEST_F(SwitchFixture, RewriteThenOutputActionOrder) {
   mod.match = Match();
   mod.actions = {ActionSetNwDst{Ipv4Addr(99, 0, 0, 1)}, ActionOutput{2, 0xffff}};
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   ASSERT_EQ(tx[2].size(), 1u);
   auto key = net::extract_flow_key(tx[2][0], 0);
   EXPECT_EQ(key->nw_dst, Ipv4Addr(99, 0, 0, 1));
@@ -387,7 +389,7 @@ TEST_F(SwitchFixture, EchoAndBarrierAndStats) {
   mod.match = Match().in_port(1);
   mod.actions = output_to(2);
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   sw.handle_message(StatsRequest{StatsRequest::Kind::kFlow});
   auto stats = channel->of_type<StatsReply>();
   ASSERT_EQ(stats.size(), 1u);
@@ -410,7 +412,7 @@ TEST_F(SwitchFixture, FlowRemovedSentOnTimeout) {
   mod.idle_timeout = seconds(1);
   mod.send_flow_removed = true;
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   sched.run_until(seconds(5));  // periodic sweep fires
   auto removed = channel->of_type<FlowRemoved>();
   ASSERT_GE(removed.size(), 1u);
@@ -418,7 +420,7 @@ TEST_F(SwitchFixture, FlowRemovedSentOnTimeout) {
 }
 
 TEST_F(SwitchFixture, UnknownPortDrops) {
-  sw.receive(99, packet());
+  push_one(sw, 99, packet());
   EXPECT_TRUE(channel->of_type<PacketIn>().empty());
 }
 
@@ -427,7 +429,7 @@ TEST_F(SwitchFixture, OutputToControllerFromFlow) {
   mod.match = Match();
   mod.actions = output_to(kPortController);
   sw.handle_message(mod);
-  sw.receive(1, packet());
+  push_one(sw, 1, packet());
   auto ins = channel->of_type<PacketIn>();
   ASSERT_EQ(ins.size(), 1u);
   EXPECT_EQ(ins[0]->reason, PacketInReason::kAction);
